@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO, Union
@@ -27,6 +28,7 @@ from .secrecy import (
     CsiError,
     PowerSplit,
     SystemConfig,
+    _is_int,
     secrecy_rate,
     secrecy_rate_imperfect,
 )
@@ -42,6 +44,7 @@ _COMMANDS = (
 )
 _TABLE1_NA = (2, 4, 6, 8, 10)
 _TABLE1_S2 = (0.0, 0.1, 0.2)
+_NEGATIVE_NUMBER = re.compile(r"-[0-9.]")
 _CONFIG_TYPES = {
     "na": int,
     "ne": int,
@@ -74,9 +77,9 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not isinstance(self.na, int) or self.na < 2:
+        if not _is_int(self.na) or self.na < 2:
             raise ValueError(f"--na must be an integer >= 2, got {self.na!r}")
-        if not isinstance(self.ne, int) or self.ne < 1:
+        if not _is_int(self.ne) or self.ne < 1:
             raise ValueError(f"--ne must be an integer >= 1, got {self.ne!r}")
         if self.na <= self.ne:
             raise ValueError(
@@ -95,11 +98,11 @@ class RunSpec:
             raise ValueError(
                 f"--sigma-tilde2 must lie in [0, 1), got {self.sigma_tilde2!r}"
             )
-        if not isinstance(self.samples, int) or self.samples < 2:
+        if not _is_int(self.samples) or self.samples < 2:
             raise ValueError(f"--samples must be an integer >= 2, got {self.samples!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"--seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.quad_order, int) or self.quad_order < 2:
+        if not _is_int(self.quad_order) or self.quad_order < 2:
             raise ValueError(
                 f"--quad-order must be an integer >= 2, got {self.quad_order!r}"
             )
@@ -399,8 +402,21 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     )
 
 
+def _bind_snr_values(argv: Sequence[str]) -> list[str]:
+    # argparse reads a leading-minus range such as -10:40:1 as an option
+    # name; attach it to --snr-db as --snr-db=-10:40:1 instead.
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--snr-db" and _NEGATIVE_NUMBER.match(arg):
+            out[-1] = f"--snr-db={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the exit code instead of raising SystemExit."""
+    argv = _bind_snr_values(sys.argv[1:] if argv is None else argv)
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .secrecy import LN2, CsiError, PowerSplit, SystemConfig, capacity_eve
+from .secrecy import LN2, CsiError, PowerSplit, SystemConfig, _is_int, capacity_eve
 
 COND_LIMIT = 1e12  # Gram matrices at or above this are discarded and redrawn
 _TARGET_CHUNK_ELEMENTS = 4_000_000
@@ -173,7 +173,7 @@ def mc_capacities(
     later substreams; the count is reported on both estimates. For iid
     Gaussian channels such draws are vanishingly rare.
     """
-    if not isinstance(n_samples, int) or n_samples < 2:
+    if not _is_int(n_samples) or n_samples < 2:
         raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")
@@ -221,7 +221,7 @@ def mc_secrecy_rate_imperfect(
     Gaussians for every sigma_tilde2, making error levels comparable
     pathwise.
     """
-    if not isinstance(n_samples, int) or n_samples < 2:
+    if not _is_int(n_samples) or n_samples < 2:
         raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")

@@ -21,11 +21,10 @@ from .secrecy import (
     CsiError,
     PowerSplit,
     SystemConfig,
+    _is_int,
     capacity_bob,
     capacity_bob_imperfect,
     capacity_eve,
-    secrecy_rate,
-    secrecy_rate_imperfect,
 )
 
 logger = logging.getLogger(__name__)
@@ -33,6 +32,8 @@ logger = logging.getLogger(__name__)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _PHI_GRID_N = 65  # coarse bracketing grid before golden refinement
+_PHI_GRID = tuple((i + 1) / (_PHI_GRID_N + 1) for i in range(_PHI_GRID_N))
+_EVE_GRID_CACHE_SIZE = 256  # (na, ne) tables of C2 kept by _eve_on_grid
 _PHI_TOL = 1e-6
 _Z_TOL = 1e-6
 _SNR_PROBE = 1e6  # beyond 60 dB the critical SNR is reported as infinite
@@ -113,6 +114,14 @@ def _golden_max(
     return x, f(x), iterations
 
 
+@lru_cache(maxsize=_EVE_GRID_CACHE_SIZE)
+def _eve_on_grid(na: int, ne: int) -> tuple[float, ...]:
+    # C2 at every grid phi. It does not depend on the power, so the
+    # solvers share one table per (na, ne) across powers and gains.
+    cfg = SystemConfig(na, ne)
+    return tuple(capacity_eve(cfg, PowerSplit(phi)) for phi in _PHI_GRID)
+
+
 def optimize_phi(
     cfg: SystemConfig,
     p: float,
@@ -127,17 +136,20 @@ def optimize_phi(
     point is returned with converged=False.
     """
 
+    def c1(split: PowerSplit) -> float:
+        if err is not None:
+            return capacity_bob_imperfect(cfg, p, split, err)
+        return capacity_bob(cfg, p, split)
+
     def rate(phi: float) -> float:
         split = PowerSplit(phi)
-        report = (
-            secrecy_rate_imperfect(cfg, p, split, err)
-            if err is not None
-            else secrecy_rate(cfg, p, split)
-        )
-        return report.c
+        return max(c1(split) - capacity_eve(cfg, split), 0.0)
 
-    grid = [(i + 1) / (_PHI_GRID_N + 1) for i in range(_PHI_GRID_N)]
-    values = [rate(phi) for phi in grid]
+    grid = _PHI_GRID
+    values = [
+        max(c1(PowerSplit(phi)) - c2, 0.0)
+        for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))
+    ]
     if debug:
         for phi, val in zip(grid, values):
             logger.debug("phi=%.6f rate=%.12g", phi, val)
@@ -171,8 +183,11 @@ def _best_rate_at_gain(cfg: SystemConfig, p: float, gain: float) -> float:
         c2 = capacity_eve(cfg, PowerSplit.from_z(z))
         return max(math.log1p(p * gain / z) / LN2 - c2, 0.0)
 
-    grid = [(i + 1) / (_PHI_GRID_N + 1) for i in range(_PHI_GRID_N)]
-    values = [rate(1.0 / phi) for phi in grid]
+    grid = _PHI_GRID
+    values = [
+        max(math.log1p(p * gain / (1.0 / phi)) / LN2 - c2, 0.0)
+        for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))
+    ]
     best = max(range(_PHI_GRID_N), key=values.__getitem__)
     if values[best] <= 0.0:
         return 0.0
@@ -196,7 +211,7 @@ def optimize_phi_adaptive(
     critical SNR: less than about 3 dB above the equal-split threshold.
     Elsewhere the gain is small and shrinks as power or antennas grow.
     """
-    if not isinstance(quadrature_order, int) or quadrature_order < 2:
+    if not _is_int(quadrature_order) or quadrature_order < 2:
         raise ValueError(
             f"quadrature_order must be an integer >= 2, got {quadrature_order!r}"
         )

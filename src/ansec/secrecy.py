@@ -27,6 +27,11 @@ LN2 = math.log(2.0)
 _SERIES_LIMIT = 0.99  # expansion-ratio bound for the single-eavesdropper series
 
 
+def _is_int(value: object) -> bool:
+    # An integer count; bool subclasses int but True is not a count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Antenna counts: na transmit antennas, ne single-antenna eavesdroppers.
@@ -39,9 +44,9 @@ class SystemConfig:
     ne: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.na, int) or self.na < 2:
+        if not _is_int(self.na) or self.na < 2:
             raise ValueError(f"na must be an integer >= 2, got {self.na!r}")
-        if not isinstance(self.ne, int) or self.ne < 1:
+        if not _is_int(self.ne) or self.ne < 1:
             raise ValueError(f"ne must be an integer >= 1, got {self.ne!r}")
         if self.na <= self.ne:
             raise ValueError(

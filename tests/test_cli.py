@@ -1,10 +1,13 @@
 """Command-line interface: parsing, CSV emission, exit codes, round trips."""
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ansec
 from ansec.cli import RunSpec, main, parse_snr_db, read_run_csv
 
 # two-decimal reference values for the equal-power critical-SNR table,
@@ -76,6 +79,8 @@ class TestRunSpecValidation:
             dict(na=2, ne=2), dict(na=1), dict(phi=0.0), dict(phi=1.0),
             dict(phi="maybe"), dict(sigma_tilde2=1.0), dict(samples=1),
             dict(seed=-1), dict(quad_order=1), dict(snr_db=()),
+            dict(na=True), dict(ne=True), dict(samples=True), dict(seed=True),
+            dict(quad_order=True),
         ],
     )
     def test_rejects(self, kw):
@@ -152,6 +157,20 @@ class TestSweepCommand:
         assert [rec["snr_db"] for rec in records] == [0.0, 5.0, 10.0, 15.0, 20.0]
         cs = [rec["c"] for rec in records]
         assert cs == sorted(cs)
+
+    def test_negative_range_as_separate_argument(self, tmp_path):
+        # "-10:40:1" starts with a minus, which argparse takes for an option
+        argv = ["sweep", "--na", "4", "--snr-db", "-10:40:1", "--phi", "0.5"]
+        code, out = run_to_file(tmp_path, "neg.csv", argv)
+        assert code == 0
+        records = read_run_csv(str(out))
+        assert [rec["snr_db"] for rec in records] == [float(v) for v in range(-10, 41)]
+        code, joined = run_to_file(
+            tmp_path, "joined.csv",
+            ["sweep", "--na", "4", "--snr-db=-10:40:1", "--phi", "0.5"],
+        )
+        assert code == 0
+        assert out.read_text() == joined.read_text()
 
 
 class TestOptPhiCommands:
@@ -300,13 +319,17 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_console_entry_point(self):
-        # the installed script must wire to the same main
+        # the installed script must wire to the same main; the child
+        # imports the same ansec tree as this process
+        tree = str(Path(ansec.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [tree, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from ansec.cli import main; sys.exit(main(sys.argv[1:]))",
              "critical-snr", "--na", "4", "--phi", "0.5"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("na,ne,phi,sigma_tilde2")

@@ -211,6 +211,10 @@ class TestMcCapacities:
             mc_capacities(cfg, 0.0, s, n_samples=100, seed=0)
         with pytest.raises(ValueError):
             mc_capacities(cfg, 10.0, s, n_samples=10.5, seed=0)
+        with pytest.raises(ValueError):
+            mc_capacities(cfg, 10.0, s, n_samples=True, seed=0)
+        with pytest.raises(ValueError):
+            mc_secrecy_rate_imperfect(cfg, 10.0, s, CsiError(0.1), n_samples=True, seed=0)
 
 
 class TestMoments:

@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+import ansec.optimize
 from ansec.optimize import (
+    _PHI_GRID,
+    _eve_on_grid,
     CriticalSnr,
     OptResult,
     critical_snr,
@@ -19,6 +22,7 @@ from ansec.secrecy import (
     CsiError,
     PowerSplit,
     SystemConfig,
+    capacity_eve,
     secrecy_rate,
     secrecy_rate_imperfect,
 )
@@ -138,6 +142,46 @@ class TestAdaptiveSplit:
             optimize_phi_adaptive(SystemConfig(na=4), 10.0, quadrature_order=1)
         with pytest.raises(ValueError):
             optimize_phi_adaptive(SystemConfig(na=4), 10.0, quadrature_order=64.0)
+        with pytest.raises(ValueError):
+            optimize_phi_adaptive(SystemConfig(na=4), 10.0, quadrature_order=True)
+
+
+class TestEveGridTable:
+    @pytest.mark.parametrize("na,ne", [(2, 1), (8, 1), (64, 1), (3, 2), (8, 5)])
+    def test_matches_direct_evaluation_exactly(self, na, ne):
+        cfg = SystemConfig(na=na, ne=ne)
+        want = [capacity_eve(cfg, PowerSplit(phi)) for phi in _PHI_GRID]
+        assert list(_eve_on_grid(na, ne)) == want
+
+    def test_adaptive_reuses_the_table(self, monkeypatch):
+        calls = 0
+        original = ansec.optimize.capacity_eve
+
+        def counting(cfg, split):
+            nonlocal calls
+            calls += 1
+            return original(cfg, split)
+
+        _eve_on_grid.cache_clear()
+        monkeypatch.setattr(ansec.optimize, "capacity_eve", counting)
+        optimize_phi_adaptive(SystemConfig(2), from_db(6.3))
+        # one 65-point table plus golden probes; rebuilding the table at
+        # each of the 64 Laguerre nodes costs about 5.9k calls
+        assert calls < 2500
+
+    @pytest.mark.parametrize(
+        "na,ne,p_db,want",
+        [
+            (2, 1, 6.3, 0.8400864224955047),
+            (3, 2, 12.3, 1.8034387707621522),
+            (64, 1, 21.3, 11.212094229318819),
+        ],
+    )
+    def test_adaptive_values_pinned(self, na, ne, p_db, want):
+        # values from when the table was rebuilt at every node, bit for bit
+        _eve_on_grid.cache_clear()
+        assert optimize_phi_adaptive(SystemConfig(na, ne), from_db(p_db)) == want
+        assert optimize_phi_adaptive(SystemConfig(na, ne), from_db(p_db)) == want
 
 
 class TestHighSnrRoots:

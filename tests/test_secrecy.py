@@ -43,7 +43,9 @@ class TestConfigTypes:
         assert cfg.na == 4 and cfg.ne == 2
         assert SystemConfig(na=3).ne == 1
 
-    @pytest.mark.parametrize("na,ne", [(1, 1), (2, 2), (2, 3), (0, 1), (4, 0), (2.0, 1)])
+    @pytest.mark.parametrize(
+        "na,ne", [(1, 1), (2, 2), (2, 3), (0, 1), (4, 0), (2.0, 1), (4, True), (True, 1)]
+    )
     def test_system_config_validation(self, na, ne):
         with pytest.raises(ValueError):
             SystemConfig(na=na, ne=ne)
