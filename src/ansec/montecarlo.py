@@ -20,6 +20,7 @@ import numpy as np
 from .secrecy import LN2, CsiError, PowerSplit, SystemConfig, _is_int, capacity_eve
 
 COND_LIMIT = 1e12  # Gram matrices at or above this are discarded and redrawn
+_GUARD_SAFETY = 16.0  # margin of the trace bound below COND_LIMIT, see _mmse_guarded
 _TARGET_CHUNK_ELEMENTS = 4_000_000
 
 
@@ -145,7 +146,40 @@ def _eve_mixed(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sir_stat_batch(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gram = g2 @ g2.conj().swapaxes(1, 2)
+    return _mmse_guarded(g1, g2 @ g2.conj().swapaxes(1, 2))
+
+
+def _mmse_guarded(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # MMSE form g1^H gram^{-1} g1 per row, with the mask of rows whose
+    # Gram passes the exact COND_LIMIT rule of _mmse_exact. One LU solve
+    # against [g1 | I] also yields diag(gram^{-1}). For Hermitian positive
+    # definite G, cond(G) <= tr(G) tr(G^{-1}) <= ne^2 cond(G), so a row
+    # whose bound clears COND_LIMIT by _GUARD_SAFETY is kept without an
+    # SVD. Moduli of the computed diagonal are summed: for a numerically
+    # singular Gram its entries carry the arbitrary phase of a roundoff
+    # pivot, and only the modulus stays large. Every other row, and a
+    # chunk whose solve meets an exactly zero pivot, gets the exact rule.
+    n, ne = g1.shape
+    rhs = np.empty((n, ne, ne + 1), dtype=complex)
+    rhs[:, :, 0] = g1
+    rhs[:, :, 1:] = np.eye(ne)
+    try:
+        sol = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return _mmse_exact(g1, gram)
+    x = np.einsum("ne,ne->n", g1.conj(), sol[:, :, 0]).real
+    inv_diag = np.einsum("nii->ni", sol[:, :, 1:])
+    bound = np.einsum("nii->n", gram).real * np.abs(inv_diag).sum(axis=1)
+    # NaN and inf bounds compare False, so non-finite rows are flagged too.
+    good = (inv_diag.real > 0).all(axis=1) & (bound < COND_LIMIT / _GUARD_SAFETY)
+    flagged = ~good
+    if flagged.any():
+        x[flagged], good[flagged] = _mmse_exact(g1[flagged], gram[flagged])
+    return x, good
+
+
+def _mmse_exact(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The discard rule itself: keep a row iff cond(gram) < COND_LIMIT.
     cond = np.linalg.cond(gram)
     good = np.isfinite(cond) & (cond < COND_LIMIT)
     x = np.full(g1.shape[0], np.nan)
@@ -191,7 +225,13 @@ def mc_capacities(
         h = _complex_gaussian(rng, (nb, cfg.na))
         g = _complex_gaussian(rng, (nb, cfg.ne, cfg.na))
         g1, g2 = _eve_mixed(h, g)
-        x, good = _sir_stat_batch(g1, g2)
+        # Free each block once used: g2 is a view that keeps the whole
+        # mixed block alive, and the solve needs room for [g1 | I].
+        del g
+        gram = g2 @ g2.conj().swapaxes(1, 2)
+        del g2
+        x, good = _mmse_guarded(g1, gram)
+        del gram
         discarded += int((~good).sum())
         hn2 = np.einsum("ij,ij->i", h.conj(), h).real
         mom1.update(np.log1p(sig_u2 * hn2[good]) / LN2)

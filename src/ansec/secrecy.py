@@ -22,14 +22,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import specfun
+from .specfun import _is_int
 
 LN2 = math.log(2.0)
 _SERIES_LIMIT = 0.99  # expansion-ratio bound for the single-eavesdropper series
-
-
-def _is_int(value: object) -> bool:
-    # An integer count; bool subclasses int but True is not a count.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,20 @@ _HYP_MAX_TERMS = 5_000_000
 _TAIL_W_LIMIT = 0.99  # tail series for |w| <= limit, log closed form beyond
 
 
+def _is_int(value: object) -> bool:
+    # An integer count: exactly int, since bool subclasses int but True is
+    # not a count. capacity_eve's loop runs this check about 16 000 times
+    # per adaptive solve at ne = 2; a type test costs half an isinstance pair.
+    return type(value) is int
+
+
 def gamma_int(n: int) -> float:
     """Gamma(n) = (n-1)! for integer n >= 1.
 
     Exact up to the float53 limit; returns inf once (n-1)! exceeds the
     double range (n > 171). Use gamma_int_log there.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"gamma_int requires an integer n >= 1, got {n!r}")
     if n > 171:
         return math.inf
@@ -45,7 +52,7 @@ def gamma_int(n: int) -> float:
 
 def gamma_int_log(n: int) -> float:
     """ln Gamma(n) for integer n >= 1; safe for any n where gamma_int overflows."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"gamma_int_log requires an integer n >= 1, got {n!r}")
     return math.lgamma(n)
 
@@ -56,7 +63,7 @@ def beta_int(a: int, b: int) -> float:
     Evaluated in the log domain and exponentiated, so large arguments
     neither overflow nor hit intermediate factorial blowup.
     """
-    if not isinstance(a, int) or not isinstance(b, int) or a < 1 or b < 1:
+    if not _is_int(a) or not _is_int(b) or a < 1 or b < 1:
         raise ValueError(f"beta_int requires integers a, b >= 1, got ({a!r}, {b!r})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
@@ -111,7 +118,7 @@ def scaled_expint_en(n: int, x: float) -> float:
     large x (it decays like 1/x). n = 0 gives exactly 1/x. x = 0 is
     allowed for n >= 2, where E_n(0) = 1/(n-1).
     """
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"order must be an integer >= 0, got {n!r}")
     if x < 0:
         raise ValueError(f"E_n is only evaluated for x >= 0, got x={x}")
@@ -142,7 +149,7 @@ def scaled_expint_sum(n_terms: int, x: float) -> float:
     scaled form); the upward recurrence is avoided because it amplifies
     error by x/k while k < x.
     """
-    if not isinstance(n_terms, int) or n_terms < 1:
+    if not _is_int(n_terms) or n_terms < 1:
         raise ValueError(f"n_terms must be an integer >= 1, got {n_terms!r}")
     if x <= 0:
         raise ValueError(f"the scaled sum needs x > 0, got x={x}")
@@ -198,7 +205,7 @@ def hyp2f1_appendix_closed_form(n_cap: int, x: float, form: str) -> float:
     """
     if form not in ("first-form", "second-form"):
         raise ValueError(f"form must be 'first-form' or 'second-form', got {form!r}")
-    if not isinstance(n_cap, int) or n_cap < 1:
+    if not _is_int(n_cap) or n_cap < 1:
         raise ValueError(f"n_cap must be an integer >= 1, got {n_cap!r}")
     if not x < 1:
         raise ValueError(f"the closed forms require x < 1, got x={x}")
@@ -250,7 +257,7 @@ def hyp2f1_1b_c(b: int, c: int, x: float) -> float:
     Negative arguments are Pfaff-transformed to y = x/(x-1) in (0, 1);
     b = 1 instances route through the logarithmic closed form.
     """
-    if not isinstance(b, int) or not isinstance(c, int) or b < 1:
+    if not _is_int(b) or not _is_int(c) or b < 1:
         raise ValueError(f"b and c must be integers with b >= 1, got ({b!r}, {c!r})")
     if c <= b:
         raise ValueError(f"unsupported parameters: need c > b, got b={b}, c={c}")

@@ -12,6 +12,7 @@ from ansec.montecarlo import (
     McEstimate,
     _complex_gaussian,
     _eve_mixed,
+    _mmse_guarded,
     _Moments,
     _sir_stat_batch,
     mc_capacities,
@@ -203,6 +204,16 @@ class TestMcCapacities:
         assert est1.n_samples == 140_000
         assert abs(est1.mean - capacity_bob(cfg, p, s)) <= 4 * est1.stderr
 
+    @pytest.mark.parametrize(
+        "na,ne,seed,want",
+        [(6, 5, 1, 4.840797969389789), (2, 1, 1, 1.1726301361866616),
+         (64, 16, 2, 3.8838731813345158)],
+    )
+    def test_pinned_eavesdropper_estimates(self, na, ne, seed, want):
+        # exact values: a change to draws, frame, guard or solve shows here
+        _, est2 = mc_capacities(SystemConfig(na=na, ne=ne), 3.7, PowerSplit(0.4), 100_000, seed)
+        assert est2.mean == want
+
     def test_validation(self):
         cfg, s = SystemConfig(na=4, ne=2), PowerSplit(0.5)
         with pytest.raises(ValueError):
@@ -303,3 +314,55 @@ class TestBatchGuards:
 
     def test_condition_limit_is_strict(self):
         assert COND_LIMIT == 1e12
+
+    @pytest.mark.parametrize("ne", [2, 5, 16])
+    def test_mask_equals_exact_condition_rule(self, ne):
+        # Hermitian Grams U diag(lam) U^H with known spectra: conditions
+        # across 1e9..1e18, straddling COND_LIMIT, plus rank-deficient rows
+        rng = np.random.default_rng(73 + ne)
+        conds = np.concatenate([np.geomspace(1e9, 1e18, 37), [0.99e12, 1.01e12, 0.999e12, 1.001e12]])
+        grams = []
+        for c in conds:
+            for lam in (np.geomspace(1.0, 1.0 / c, ne), np.r_[np.ones(ne - 1), 1.0 / c]):
+                q, _ = np.linalg.qr(_complex_gaussian(rng, (ne, ne)))
+                scale = 10.0 ** rng.uniform(-3, 3)
+                grams.append(scale * (q * lam) @ q.conj().T)
+        # within 1e-4 of the limit, with spectra whose trace bound exceeds
+        # cond by under 1e-4: only a margin below COND_LIMIT keeps these exact
+        for c in COND_LIMIT * (1.0 + np.linspace(-1e-4, 1e-4, 101)):
+            q, _ = np.linalg.qr(_complex_gaussian(rng, (ne, ne)))
+            lam = np.r_[1.0, np.full(ne - 2, c**-0.5), 1.0 / c]
+            grams.append((q * lam) @ q.conj().T)
+        for k in range(1, ne):
+            q, _ = np.linalg.qr(_complex_gaussian(rng, (ne, ne)))
+            lam = np.r_[np.ones(k), np.zeros(ne - k)]
+            grams.append((q * lam) @ q.conj().T)
+        gram = np.stack(grams)
+        g1 = _complex_gaussian(rng, (gram.shape[0], ne))
+        c = np.linalg.cond(gram)
+        want = np.isfinite(c) & (c < COND_LIMIT)
+        assert 0 < want.sum() < want.size
+        # one exactly singular Gram sends a whole stack to the exact rule,
+        # so each row is also checked alone, where the trace bound decides
+        alone = [_mmse_guarded(g1[i : i + 1], gram[i : i + 1]) for i in range(gram.shape[0])]
+        for x, good in [_mmse_guarded(g1, gram), tuple(map(np.concatenate, zip(*alone)))]:
+            assert np.array_equal(good, want)
+            assert np.isnan(x[~good]).all()
+            ref = [np.vdot(g1[i], np.linalg.solve(gram[i], g1[i])).real for i in np.flatnonzero(good)]
+            np.testing.assert_allclose(x[good], ref, rtol=1e-9)
+
+    def test_zero_eavesdropper_block_masks_only_its_row(self):
+        # an all-zero Gram makes the batched LU raise; the exact rule then
+        # decides every row of the chunk
+        cfg = SystemConfig(na=5, ne=3)
+        rng = np.random.default_rng(79)
+        h = _complex_gaussian(rng, (48, cfg.na))
+        g = _complex_gaussian(rng, (48, cfg.ne, cfg.na))
+        g[17] = 0.0
+        g1, g2 = _eve_mixed(h, g)
+        x, good = _sir_stat_batch(g1, g2)
+        assert np.flatnonzero(~good).tolist() == [17]
+        gram = g2 @ g2.conj().swapaxes(1, 2)
+        for i in np.flatnonzero(good):
+            want = np.vdot(g1[i], np.linalg.solve(gram[i], g1[i])).real
+            assert x[i] == pytest.approx(want, rel=1e-13)

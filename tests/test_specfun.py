@@ -39,10 +39,12 @@ class TestGammaBeta:
         for n in (1, 2, 7, 50, 171, 800):
             assert rel_err(gamma_int_log(n), math.lgamma(n)) == 0.0
 
-    @pytest.mark.parametrize("bad", [0, -3, 1.5, "2"])
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, "2", True])
     def test_gamma_domain(self, bad):
         with pytest.raises(ValueError):
             gamma_int(bad)
+        with pytest.raises(ValueError):
+            gamma_int_log(bad)
 
     def test_beta_exact_small(self):
         assert beta_int(1, 1) == 1.0
@@ -59,7 +61,7 @@ class TestGammaBeta:
     def test_beta_large_no_overflow(self):
         assert 0.0 < beta_int(200, 300) < 1.0
 
-    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-1, 2), (2.5, 1)])
+    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-1, 2), (2.5, 1), (True, 1), (1, True)])
     def test_beta_domain(self, a, b):
         with pytest.raises(ValueError):
             beta_int(a, b)
@@ -138,6 +140,8 @@ class TestExpint:
             expint_en(0, 0.0)
         with pytest.raises(ValueError):
             expint_en(-1, 1.0)
+        with pytest.raises(ValueError):
+            scaled_expint_en(True, 1.0)
 
 
 class TestScaledSum:
@@ -187,6 +191,8 @@ class TestScaledSum:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             scaled_expint_sum(0, 1.0)
+        with pytest.raises(ValueError):
+            scaled_expint_sum(True, 1.0)
         with pytest.raises(ValueError):
             scaled_expint_sum(2, 0.0)
         with pytest.raises(ValueError):
@@ -267,6 +273,8 @@ class TestHyp2f1:
             hyp2f1_1b_c(3, 3, 0.5)
         with pytest.raises(ValueError):
             hyp2f1_1b_c(0, 3, 0.5)
+        with pytest.raises(ValueError):
+            hyp2f1_1b_c(True, 3, 0.2)
 
     def test_purity(self):
         assert hyp2f1_1b_c(3, 8, 0.9) == hyp2f1_1b_c(3, 8, 0.9)
@@ -329,6 +337,8 @@ class TestAppendixForms:
             hyp2f1_appendix_closed_form(3, 0.5, "third-form")
         with pytest.raises(ValueError):
             hyp2f1_appendix_closed_form(0, 0.5, "first-form")
+        with pytest.raises(ValueError):
+            hyp2f1_appendix_closed_form(True, 0.5, "first-form")
         with pytest.raises(ValueError):
             hyp2f1_appendix_closed_form(3, 1.0, "first-form")
 
