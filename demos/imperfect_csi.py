@@ -10,7 +10,6 @@ from ansec import (
     SystemConfig,
     critical_snr_exact,
     secrecy_rate,
-    secrecy_rate_imperfect,
     to_db,
 )
 
@@ -23,7 +22,7 @@ def main() -> None:
     print("  err_var     rate")
     print(f"    0.000  {secrecy_rate(cfg, p, SPLIT).c:7.4f}")
     for s2 in (0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8):
-        rep = secrecy_rate_imperfect(cfg, p, SPLIT, CsiError(s2))
+        rep = secrecy_rate(cfg, p, SPLIT, CsiError(s2))
         print(f"    {s2:5.3f}  {rep.c:7.4f}")
 
     print()

@@ -34,15 +34,12 @@ from .secrecy import (
     RateReport,
     SystemConfig,
     capacity_bob,
-    capacity_bob_imperfect,
     capacity_eve,
     ccdf_sir,
     secrecy_rate,
-    secrecy_rate_imperfect,
     secrecy_rate_large_na,
 )
 from .specfun import (
-    EvalGrid,
     beta_int,
     expint_en,
     gamma_int,
@@ -60,7 +57,6 @@ __all__ = [
     "ChannelDraw",
     "CriticalSnr",
     "CsiError",
-    "EvalGrid",
     "GramConditionError",
     "McEstimate",
     "OptResult",
@@ -69,7 +65,6 @@ __all__ = [
     "SystemConfig",
     "beta_int",
     "capacity_bob",
-    "capacity_bob_imperfect",
     "capacity_eve",
     "ccdf_sir",
     "critical_snr",
@@ -90,7 +85,6 @@ __all__ = [
     "scaled_expint_en",
     "scaled_expint_sum",
     "secrecy_rate",
-    "secrecy_rate_imperfect",
     "secrecy_rate_large_na",
     "sir_mmse",
     "to_db",

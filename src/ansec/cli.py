@@ -24,14 +24,7 @@ from .optimize import (
     optimize_phi,
     optimize_phi_adaptive,
 )
-from .secrecy import (
-    CsiError,
-    PowerSplit,
-    SystemConfig,
-    _is_int,
-    secrecy_rate,
-    secrecy_rate_imperfect,
-)
+from .secrecy import CsiError, PowerSplit, SystemConfig, _is_int, secrecy_rate
 
 _COMMANDS = (
     "rate",
@@ -45,17 +38,12 @@ _COMMANDS = (
 _TABLE1_NA = (2, 4, 6, 8, 10)
 _TABLE1_S2 = (0.0, 0.1, 0.2)
 _NEGATIVE_NUMBER = re.compile(r"-[0-9.]")
-_CONFIG_TYPES = {
-    "na": int,
-    "ne": int,
-    "snr_db": str,
-    "phi": str,
-    "sigma_tilde2": float,
-    "samples": int,
-    "seed": int,
-    "output": str,
-    "quad_order": int,
-}
+# Keys a --config file may set. Values stay strings: argparse converts a
+# string default through its flag's type=, so a bad value is reported
+# against the flag it would have set.
+_CONFIG_KEYS = frozenset(
+    ("na", "ne", "snr_db", "phi", "sigma_tilde2", "samples", "seed", "output", "quad_order")
+)
 
 
 @dataclass(frozen=True)
@@ -77,27 +65,18 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not _is_int(self.na) or self.na < 2:
-            raise ValueError(f"--na must be an integer >= 2, got {self.na!r}")
-        if not _is_int(self.ne) or self.ne < 1:
-            raise ValueError(f"--ne must be an integer >= 1, got {self.ne!r}")
-        if self.na <= self.ne:
-            raise ValueError(
-                f"--na must exceed --ne, got na={self.na}, ne={self.ne}"
-            )
+        # The library types validate the fields they model and raise
+        # ValueError, which the CLI reports as a usage error.
+        SystemConfig(self.na, self.ne)
+        CsiError(self.sigma_tilde2)
         if len(self.snr_db) == 0:
             raise ValueError("--snr-db produced an empty range")
         if any(not math.isfinite(s) for s in self.snr_db):
             raise ValueError("--snr-db values must be finite")
-        if isinstance(self.phi, str):
-            if self.phi != "opt":
-                raise ValueError(f"--phi must be a number in (0, 1) or 'opt', got {self.phi!r}")
-        elif not 0.0 < self.phi < 1.0:
-            raise ValueError(f"--phi must lie in (0, 1), got {self.phi!r}")
-        if not 0.0 <= self.sigma_tilde2 < 1.0:
-            raise ValueError(
-                f"--sigma-tilde2 must lie in [0, 1), got {self.sigma_tilde2!r}"
-            )
+        if not isinstance(self.phi, str):
+            PowerSplit(self.phi)
+        elif self.phi != "opt":
+            raise ValueError(f"--phi must be a number in (0, 1) or 'opt', got {self.phi!r}")
         if not _is_int(self.samples) or self.samples < 2:
             raise ValueError(f"--samples must be an integer >= 2, got {self.samples!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -206,12 +185,7 @@ def _rate_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
     for snr in spec.snr_db:
         p = from_db(snr)
         split = _resolve_split(spec, p)
-        err = spec.csi_error
-        report = (
-            secrecy_rate_imperfect(spec.system, p, split, err)
-            if err is not None
-            else secrecy_rate(spec.system, p, split)
-        )
+        report = secrecy_rate(spec.system, p, split, spec.csi_error)
         rows.append(
             [spec.na, spec.ne, snr, split.phi, spec.sigma_tilde2,
              report.c1, report.c2, report.c]
@@ -260,8 +234,7 @@ def _table1_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
     for na in _TABLE1_NA:
         cfg = SystemConfig(na=na, ne=1)
         for s2 in _TABLE1_S2:
-            err = CsiError(s2) if s2 > 0 else None
-            result = critical_snr(cfg, split, err)
+            result = critical_snr(cfg, split, CsiError(s2))
             rows.append([na, s2, "exact", "%.2f" % result.p_c_exact_db])
             rows.append([na, s2, "bound", "%.2f" % result.p_c_bound_db])
     return header, rows
@@ -288,11 +261,10 @@ def _validate_rows(spec: RunSpec) -> tuple[list[str], list[list[object]], bool]:
     est1, est2 = mc_capacities(spec.system, p, split, spec.samples, spec.seed)
     add("c1", report.c1, est1.mean, est1.stderr)
     add("c2", report.c2, est2.mean, est2.stderr)
-    err = spec.csi_error
-    if err is not None:
-        closed_imp = secrecy_rate_imperfect(spec.system, p, split, err)
+    if spec.sigma_tilde2 > 0.0:
+        closed_imp = secrecy_rate(spec.system, p, split, spec.csi_error)
         est = mc_secrecy_rate_imperfect(
-            spec.system, p, split, err, spec.samples, spec.seed
+            spec.system, p, split, spec.csi_error, spec.samples, spec.seed
         )
         add("rate_imperfect", closed_imp.c1 - closed_imp.c2, est.mean, est.stderr)
     return header, rows, all_ok
@@ -331,9 +303,9 @@ def _load_config(path: str) -> dict[str, object]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            defaults[key] = _CONFIG_TYPES[key](value.strip())
+            defaults[key] = value.strip()
     return defaults
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -189,8 +190,27 @@ def _mmse_exact(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x, good
 
 
-def _chunk_size(cfg: SystemConfig) -> int:
-    return max(2048, min(65536, _TARGET_CHUNK_ELEMENTS // (cfg.na * cfg.ne)))
+def _stream(
+    cfg: SystemConfig,
+    p: float,
+    n_samples: int,
+    seed: int,
+    step: Callable[[np.random.Generator, int], int],
+) -> None:
+    # The chunked draw loop: step(rng, nb) simulates nb draws from a fresh
+    # substream of seed and returns how many it kept; chunks continue until
+    # n_samples draws are kept. A chunk holds about _TARGET_CHUNK_ELEMENTS
+    # eavesdropper entries, so memory stays flat as na and ne grow.
+    if not _is_int(n_samples) or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    if not p > 0:
+        raise ValueError(f"power must be positive, got {p!r}")
+    chunk = max(2048, min(65536, _TARGET_CHUNK_ELEMENTS // (cfg.na * cfg.ne)))
+    seq = np.random.SeedSequence(seed)
+    remaining = n_samples
+    while remaining > 0:
+        rng = np.random.default_rng(seq.spawn(1)[0])
+        remaining -= step(rng, min(chunk, remaining))
 
 
 def mc_capacities(
@@ -207,21 +227,14 @@ def mc_capacities(
     later substreams; the count is reported on both estimates. For iid
     Gaussian channels such draws are vanishingly rare.
     """
-    if not _is_int(n_samples) or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    if not p > 0:
-        raise ValueError(f"power must be positive, got {p!r}")
-    chunk = _chunk_size(cfg)
-    seq = np.random.SeedSequence(seed)
     mom1 = _Moments()
     mom2 = _Moments()
     discarded = 0
     sig_u2 = split.sigma_u2(p)
     ratio = (cfg.na - 1.0) / (split.z - 1.0)
-    remaining = n_samples
-    while remaining > 0:
-        nb = min(chunk, remaining)
-        rng = np.random.default_rng(seq.spawn(1)[0])
+
+    def step(rng: np.random.Generator, nb: int) -> int:
+        nonlocal discarded
         h = _complex_gaussian(rng, (nb, cfg.na))
         g = _complex_gaussian(rng, (nb, cfg.ne, cfg.na))
         g1, g2 = _eve_mixed(h, g)
@@ -232,11 +245,14 @@ def mc_capacities(
         del g2
         x, good = _mmse_guarded(g1, gram)
         del gram
-        discarded += int((~good).sum())
+        kept = int(good.sum())
+        discarded += nb - kept
         hn2 = np.einsum("ij,ij->i", h.conj(), h).real
         mom1.update(np.log1p(sig_u2 * hn2[good]) / LN2)
         mom2.update(np.log1p(ratio * x[good]) / LN2)
-        remaining -= int(good.sum())
+        return kept
+
+    _stream(cfg, p, n_samples, seed, step)
     est1 = McEstimate(mom1.mean, mom1.stderr, mom1.n, seed, discarded)
     est2 = McEstimate(mom2.mean, mom2.stderr, mom2.n, seed, discarded)
     return est1, est2
@@ -261,22 +277,16 @@ def mc_secrecy_rate_imperfect(
     Gaussians for every sigma_tilde2, making error levels comparable
     pathwise.
     """
-    if not _is_int(n_samples) or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    if not p > 0:
-        raise ValueError(f"power must be positive, got {p!r}")
-    c2 = capacity_eve(cfg, split)
-    chunk = _chunk_size(cfg)
-    seq = np.random.SeedSequence(seed)
     mom = _Moments()
     sig_u2 = split.sigma_u2(p)
     floor = err.sigma_tilde2 * p + 1.0
-    remaining = n_samples
-    while remaining > 0:
-        nb = min(chunk, remaining)
-        rng = np.random.default_rng(seq.spawn(1)[0])
+
+    def step(rng: np.random.Generator, nb: int) -> int:
         unit = _complex_gaussian(rng, (nb, cfg.na))
         hn2 = err.sigma_hat2 * np.einsum("ij,ij->i", unit.conj(), unit).real
         mom.update(np.log1p(sig_u2 * hn2 / floor) / LN2)
-        remaining -= nb
+        return nb
+
+    _stream(cfg, p, n_samples, seed, step)
+    c2 = capacity_eve(cfg, split)
     return McEstimate(mom.mean - c2, mom.stderr, mom.n, seed, 0)

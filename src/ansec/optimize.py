@@ -18,12 +18,12 @@ from typing import Callable, Optional
 
 from .secrecy import (
     LN2,
+    _SERIES_LIMIT,
     CsiError,
     PowerSplit,
     SystemConfig,
     _is_int,
     capacity_bob,
-    capacity_bob_imperfect,
     capacity_eve,
 )
 
@@ -122,6 +122,42 @@ def _eve_on_grid(na: int, ne: int) -> tuple[float, ...]:
     return tuple(capacity_eve(cfg, PowerSplit(phi)) for phi in _PHI_GRID)
 
 
+def _maximize_over_grid(
+    cfg: SystemConfig,
+    bob: Callable[[float], float],
+    rate: Callable[[float], float],
+    tol: float,
+    in_z: bool = False,
+    debug: bool = False,
+) -> tuple[float, float, int]:
+    # Maximize a clamped secrecy rate whose receiver term at a grid phi is
+    # bob(phi). The best of the 65 grid rates and its neighbours (halfway
+    # to 0 or 1 at an edge) bracket the peak, which golden section refines
+    # on rate(x), with x = phi or, with in_z, x = z = 1/phi. Returns
+    # (x*, rate*, iterations); the best grid point when it beats the
+    # refinement, and with rate 0 and no iterations when no grid rate is
+    # positive (the rate can be identically zero below the critical SNR).
+    grid = _PHI_GRID
+    values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))]
+    if debug:
+        for phi, val in zip(grid, values):
+            logger.debug("phi=%.6f rate=%.12g", phi, val)
+    best = max(range(_PHI_GRID_N), key=values.__getitem__)
+    x_best = 1.0 / grid[best] if in_z else grid[best]
+    if values[best] <= 0.0:
+        return x_best, 0.0, 0
+    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
+    hi = grid[best + 1] if best < _PHI_GRID_N - 1 else (grid[-1] + 1.0) / 2.0
+    if in_z:
+        # Halving is exact, so the edge brackets are 2/grid[0] and
+        # 2/(grid[-1] + 1) to the bit.
+        lo, hi = 1.0 / hi, 1.0 / lo
+    x_star, r_star, iterations = _golden_max(rate, lo, hi, tol)
+    if values[best] > r_star:
+        return x_best, values[best], iterations
+    return x_star, r_star, iterations
+
+
 def optimize_phi(
     cfg: SystemConfig,
     p: float,
@@ -136,32 +172,13 @@ def optimize_phi(
     point is returned with converged=False.
     """
 
-    def c1(split: PowerSplit) -> float:
-        if err is not None:
-            return capacity_bob_imperfect(cfg, p, split, err)
-        return capacity_bob(cfg, p, split)
+    def bob(phi: float) -> float:
+        return capacity_bob(cfg, p, PowerSplit(phi), err)
 
     def rate(phi: float) -> float:
-        split = PowerSplit(phi)
-        return max(c1(split) - capacity_eve(cfg, split), 0.0)
+        return max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
 
-    grid = _PHI_GRID
-    values = [
-        max(c1(PowerSplit(phi)) - c2, 0.0)
-        for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))
-    ]
-    if debug:
-        for phi, val in zip(grid, values):
-            logger.debug("phi=%.6f rate=%.12g", phi, val)
-    best = max(range(_PHI_GRID_N), key=values.__getitem__)
-    if values[best] <= 0.0:
-        phi0 = grid[best]
-        return OptResult(phi0, 1.0 / phi0, 0.0, 0, False)
-    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
-    hi = grid[best + 1] if best < _PHI_GRID_N - 1 else (grid[-1] + 1.0) / 2.0
-    phi_star, c_star, iterations = _golden_max(rate, lo, hi, _PHI_TOL)
-    if values[best] > c_star:
-        phi_star, c_star = grid[best], values[best]
+    phi_star, c_star, iterations = _maximize_over_grid(cfg, bob, rate, _PHI_TOL, debug=debug)
     return OptResult(phi_star, 1.0 / phi_star, c_star, iterations, c_star > 0.0)
 
 
@@ -179,22 +196,14 @@ def _laguerre_rule(order: int, alpha: int) -> tuple[tuple[float, ...], tuple[flo
 def _best_rate_at_gain(cfg: SystemConfig, p: float, gain: float) -> float:
     # Largest clamped instantaneous secrecy rate over z for a known
     # beamforming gain; grid bracket in phi, golden refinement in z.
+    def bob(phi: float) -> float:
+        return math.log1p(p * gain / (1.0 / phi)) / LN2
+
     def rate(z: float) -> float:
         c2 = capacity_eve(cfg, PowerSplit.from_z(z))
         return max(math.log1p(p * gain / z) / LN2 - c2, 0.0)
 
-    grid = _PHI_GRID
-    values = [
-        max(math.log1p(p * gain / (1.0 / phi)) / LN2 - c2, 0.0)
-        for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))
-    ]
-    best = max(range(_PHI_GRID_N), key=values.__getitem__)
-    if values[best] <= 0.0:
-        return 0.0
-    z_hi = 1.0 / grid[best - 1] if best > 0 else 2.0 / grid[0]
-    z_lo = 1.0 / grid[best + 1] if best < _PHI_GRID_N - 1 else 2.0 / (grid[-1] + 1.0)
-    _, r_star, _ = _golden_max(rate, z_lo, z_hi, _Z_TOL)
-    return max(r_star, values[best])
+    return _maximize_over_grid(cfg, bob, rate, _Z_TOL, in_z=True)[1]
 
 
 def optimize_phi_adaptive(
@@ -230,7 +239,7 @@ def _dc2_nats_dz(na: int, z: float) -> float:
     # regrouped into nonpositive powers of u so large |u| cannot overflow.
     a = na - 1
     u = (na - z) / a
-    if abs(u) <= 0.99:
+    if abs(u) <= _SERIES_LIMIT:
         total = 0.0
         term = 1.0
         j = 0
@@ -319,12 +328,7 @@ def critical_snr_exact(
     c2 = capacity_eve(cfg, split)
 
     def gap(p: float) -> float:
-        c1 = (
-            capacity_bob_imperfect(cfg, p, split, err)
-            if err is not None
-            else capacity_bob(cfg, p, split)
-        )
-        return c1 - c2
+        return capacity_bob(cfg, p, split, err) - c2
 
     hi = _SNR_PROBE
     if gap(hi) <= 0.0:

@@ -117,31 +117,29 @@ class RateReport:
     stderr: Optional[float] = None
 
 
-def capacity_bob(cfg: SystemConfig, p: float, split: PowerSplit) -> float:
+def capacity_bob(
+    cfg: SystemConfig, p: float, split: PowerSplit, err: Optional[CsiError] = None
+) -> float:
     """Bob's ergodic capacity E[log2(1 + phi * p * |h|^2)] in bits/use.
 
     |h|^2 is chi-squared with 2*na degrees of freedom (unit-variance
     entries), which integrates to a finite sum of exponential integrals;
     the exponentially scaled form keeps it finite as phi * p -> 0.
+
+    With a channel-estimation error err, the transmitter beamforms on an
+    imperfect estimate: the error leaks a fraction of the information
+    power into a self-interference floor, which rescales the integral
+    argument from z/p to (z/p + z * sigma_tilde2) / (1 - sigma_tilde2).
+    At sigma_tilde2 = 0 the added term is exactly 0.0 and the divisor
+    exactly 1.0, so CsiError(0.0) and err=None give the same result bit
+    for bit; and as p -> inf the argument stays finite, giving the
+    capacity ceiling that estimation error imposes.
     """
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")
-    return specfun.scaled_expint_sum(cfg.na, split.z / p) / LN2
-
-
-def capacity_bob_imperfect(
-    cfg: SystemConfig, p: float, split: PowerSplit, err: CsiError
-) -> float:
-    """Bob's ergodic capacity when beamforming on an imperfect estimate.
-
-    The estimation error leaks a fraction of the information power into
-    an effective self-interference floor, which rescales the integral
-    argument from z/p to z * (sigma_tilde2 + 1/p) / (1 - sigma_tilde2).
-    With sigma_tilde2 = 0 this reduces bit-for-bit to capacity_bob.
-    """
-    if not p > 0:
-        raise ValueError(f"power must be positive, got {p!r}")
-    w = split.z * (err.sigma_tilde2 + 1.0 / p) / err.sigma_hat2
+    z = split.z
+    s2 = 0.0 if err is None else err.sigma_tilde2
+    w = (z / p + z * s2) / (1.0 - s2)
     return specfun.scaled_expint_sum(cfg.na, w) / LN2
 
 
@@ -225,23 +223,17 @@ def capacity_eve(cfg: SystemConfig, split: PowerSplit) -> float:
     return _eve_nats_general(cfg.na, cfg.ne, z) / LN2
 
 
-def secrecy_rate(cfg: SystemConfig, p: float, split: PowerSplit) -> RateReport:
-    """Ergodic secrecy rate max(C_bob - C_eve, 0) with its two components."""
-    c1 = capacity_bob(cfg, p, split)
-    c2 = capacity_eve(cfg, split)
-    return RateReport(c1=c1, c2=c2, c=max(c1 - c2, 0.0))
-
-
-def secrecy_rate_imperfect(
-    cfg: SystemConfig, p: float, split: PowerSplit, err: CsiError
+def secrecy_rate(
+    cfg: SystemConfig, p: float, split: PowerSplit, err: Optional[CsiError] = None
 ) -> RateReport:
-    """Secrecy rate with imperfect channel knowledge at the transmitter.
+    """Ergodic secrecy rate max(C_bob - C_eve, 0) with its two components.
 
-    Only Bob's side degrades; the eavesdropper term is unchanged because
-    the artificial noise is isotropic in the estimated null space and the
-    eavesdropper channels are independent of the estimation error.
+    A channel-estimation error err degrades only Bob's side; the
+    eavesdropper term is unchanged because the artificial noise is
+    isotropic in the estimated null space and the eavesdropper channels
+    are independent of the estimation error.
     """
-    c1 = capacity_bob_imperfect(cfg, p, split, err)
+    c1 = capacity_bob(cfg, p, split, err)
     c2 = capacity_eve(cfg, split)
     return RateReport(c1=c1, c2=c2, c=max(c1 - c2, 0.0))
 

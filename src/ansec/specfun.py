@@ -19,8 +19,6 @@ small |w|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 _EULER_GAMMA = 0.57721566490153286061
 _SERIES_CF_SPLIT = 1.5  # E_n series below, continued fraction above
@@ -275,42 +273,3 @@ def hyp2f1_1b_c(b: int, c: int, x: float) -> float:
         return _gauss_series_1b_c(bp, c, y) / (1.0 - x)
     return _gauss_series_1b_c(b, c, x)
 
-
-@dataclass(frozen=True)
-class EvalGrid:
-    """A pinned evaluation grid with the accuracy it is expected to meet."""
-
-    points: tuple[float, ...]
-    rel_tol: float
-
-    def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
-        if len(pts) == 0:
-            raise ValueError("EvalGrid needs at least one point")
-        if any(not math.isfinite(p) for p in pts):
-            raise ValueError("EvalGrid points must be finite")
-        if any(q <= p for p, q in zip(pts, pts[1:])):
-            raise ValueError("EvalGrid points must be strictly increasing")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        object.__setattr__(self, "points", pts)
-
-    def worst_rel_error(self, fn: Callable[[float], float],
-                        reference: Callable[[float], float]) -> tuple[float, float]:
-        """Largest relative deviation of fn from reference over the grid.
-
-        Returns (error, point). Relative to |reference| with an absolute
-        floor of 1e-300 so exact zeros do not blow up the ratio.
-        """
-        worst = (0.0, self.points[0])
-        for p in self.points:
-            ref = reference(p)
-            err = abs(fn(p) - ref) / max(abs(ref), 1e-300)
-            if err > worst[0]:
-                worst = (err, p)
-        return worst
-
-
-def grid(points: Sequence[float], rel_tol: float) -> EvalGrid:
-    """Convenience constructor for EvalGrid."""
-    return EvalGrid(tuple(points), rel_tol)

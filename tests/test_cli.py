@@ -295,6 +295,12 @@ class TestConfigFile:
         assert main(["rate", "--config", str(cfg)]) == 2
         assert "antennas" in capsys.readouterr().err
 
+    def test_bad_value_names_its_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("na = abc\n")
+        assert main(["rate", "--config", str(cfg)]) == 2
+        assert "--na" in capsys.readouterr().err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(

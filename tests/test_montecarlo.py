@@ -270,9 +270,9 @@ class TestImperfectCsiEstimate:
         cfg, p, s = SystemConfig(na=6, ne=2), 20.0, PowerSplit(0.5)
         err = CsiError(0.1)
         est = mc_secrecy_rate_imperfect(cfg, p, s, err, n_samples=100_000, seed=37)
-        from ansec.secrecy import secrecy_rate_imperfect
+        from ansec.secrecy import secrecy_rate
 
-        rep = secrecy_rate_imperfect(cfg, p, s, err)
+        rep = secrecy_rate(cfg, p, s, err)
         assert abs(est.mean - (rep.c1 - rep.c2)) <= 3 * est.stderr
 
     def test_paired_seeds_monotone_in_error(self):

@@ -1,6 +1,7 @@
 """Closed-form rate terms against quadrature oracles and frozen references."""
 import inspect
 import math
+import random
 
 import pytest
 from scipy import integrate, special
@@ -12,13 +13,12 @@ from ansec.secrecy import (
     SystemConfig,
     _eve_nats_general,
     capacity_bob,
-    capacity_bob_imperfect,
     capacity_eve,
     ccdf_sir,
     secrecy_rate,
-    secrecy_rate_imperfect,
     secrecy_rate_large_na,
 )
+from ansec.specfun import scaled_expint_sum
 
 LN2 = math.log(2.0)
 
@@ -293,11 +293,24 @@ class TestImperfectCsi:
     )
     def test_zero_error_is_bitwise_identical(self, na, p, phi):
         cfg, s = SystemConfig(na=na), PowerSplit(phi)
-        assert capacity_bob_imperfect(cfg, p, s, CsiError(0.0)) == capacity_bob(cfg, p, s)
+        assert capacity_bob(cfg, p, s, CsiError(0.0)) == capacity_bob(cfg, p, s)
+
+    def test_zero_error_is_bitwise_identical_on_random_inputs(self):
+        # z*(0 + 1/p)/1 and z/p round differently at some inputs, so the
+        # zero-error form must reduce to the perfect-CSI argument z/p
+        # exactly, not just to 1 ulp.
+        rng = random.Random(20100)
+        for _ in range(2000):
+            cfg = SystemConfig(na=rng.randint(2, 64))
+            p = 10.0 ** rng.uniform(-3.0, 6.0)
+            s = PowerSplit(rng.uniform(0.01, 0.99))
+            perfect = scaled_expint_sum(cfg.na, s.z / p) / LN2
+            assert capacity_bob(cfg, p, s) == perfect, (cfg, p, s)
+            assert capacity_bob(cfg, p, s, CsiError(0.0)) == perfect, (cfg, p, s)
 
     def test_zero_error_rate_report(self):
         cfg, p, s = SystemConfig(na=4, ne=2), 10.0, PowerSplit(0.5)
-        a = secrecy_rate_imperfect(cfg, p, s, CsiError(0.0))
+        a = secrecy_rate(cfg, p, s, CsiError(0.0))
         b = secrecy_rate(cfg, p, s)
         assert (a.c1, a.c2, a.c) == (b.c1, b.c2, b.c)
 
@@ -307,15 +320,23 @@ class TestImperfectCsi:
     )
     def test_estimation_error_break_even_points(self, na, s2, snr_db):
         # two-decimal break-even SNRs from the reference critical-SNR table
-        rep = secrecy_rate_imperfect(
+        rep = secrecy_rate(
             SystemConfig(na=na), 10.0 ** (snr_db / 10.0), PowerSplit(0.5), CsiError(s2)
         )
         assert abs(rep.c1 - rep.c2) <= 2e-3
 
+    def test_ceiling_at_infinite_power(self):
+        # with estimation error C1 saturates as p grows; p = inf must give
+        # that ceiling, not 0 * inf
+        cfg, s, err = SystemConfig(na=4), PowerSplit(0.5), CsiError(0.1)
+        ceiling = scaled_expint_sum(4, s.z * err.sigma_tilde2 / err.sigma_hat2) / LN2
+        assert capacity_bob(cfg, math.inf, s, err) == ceiling
+        assert capacity_bob(cfg, 1e6, s, err) < ceiling
+
     def test_monotone_in_error(self):
         cfg, p, s = SystemConfig(na=6), 20.0, PowerSplit(0.5)
         vals = [
-            capacity_bob_imperfect(cfg, p, s, CsiError(s2))
+            capacity_bob(cfg, p, s, CsiError(s2))
             for s2 in (0.0, 0.05, 0.1, 0.2, 0.4, 0.8)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -327,14 +348,14 @@ class TestImperfectCsi:
     def test_against_gauss_laguerre(self, na, s2, p, phi):
         # channel-gain expectation with shrunk estimate power and leaked-noise floor
         cfg, s = SystemConfig(na=na), PowerSplit(phi)
-        got = capacity_bob_imperfect(cfg, p, s, CsiError(s2))
+        got = capacity_bob(cfg, p, s, CsiError(s2))
         coef = s.sigma_u2(p) * (1.0 - s2) / (s2 * p + 1.0)
         assert rel_err(got, gauss_laguerre_log_mean(na, coef)) < 1e-8
 
     def test_error_saps_rate_smoothly(self):
         cfg, p, s = SystemConfig(na=8, ne=2), 100.0, PowerSplit(0.5)
         perfect = secrecy_rate(cfg, p, s).c
-        slight = secrecy_rate_imperfect(cfg, p, s, CsiError(1e-6)).c
+        slight = secrecy_rate(cfg, p, s, CsiError(1e-6)).c
         assert 0.0 < perfect - slight < 1e-3
 
 

@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate, special
 
 from ansec.specfun import (
-    EvalGrid,
     beta_int,
     expint_en,
     gamma_int,
@@ -342,23 +341,3 @@ class TestAppendixForms:
         with pytest.raises(ValueError):
             hyp2f1_appendix_closed_form(3, 1.0, "first-form")
 
-
-class TestEvalGrid:
-    def test_holds_points(self):
-        g = EvalGrid((0.1, 0.5, 2.0), 1e-9)
-        assert g.points == (0.1, 0.5, 2.0)
-
-    def test_worst_rel_error(self):
-        g = EvalGrid((1.0, 2.0, 4.0), 1e-9)
-        err, at = g.worst_rel_error(lambda x: x * (1 + 1e-6), lambda x: x)
-        assert abs(err - 1e-6) < 1e-12
-        assert at in (1.0, 2.0, 4.0)
-
-    @pytest.mark.parametrize(
-        "points,tol",
-        [((), 1e-9), ((1.0, 1.0), 1e-9), ((2.0, 1.0), 1e-9),
-         ((0.0, math.inf), 1e-9), ((1.0, 2.0), 0.0), ((1.0, 2.0), -1.0)],
-    )
-    def test_validation(self, points, tol):
-        with pytest.raises(ValueError):
-            EvalGrid(points, tol)
