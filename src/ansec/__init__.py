@@ -42,8 +42,6 @@ from .secrecy import (
 from .specfun import (
     beta_int,
     expint_en,
-    gamma_int,
-    gamma_int_log,
     hyp2f1_1b_c,
     hyp2f1_appendix_closed_form,
     scaled_expint_en,
@@ -72,8 +70,6 @@ __all__ = [
     "critical_snr_upper_bound",
     "expint_en",
     "from_db",
-    "gamma_int",
-    "gamma_int_log",
     "high_snr_optimal_z",
     "hyp2f1_1b_c",
     "hyp2f1_appendix_closed_form",

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
 from .montecarlo import mc_capacities, mc_secrecy_rate_imperfect
 from .optimize import (
@@ -26,24 +27,16 @@ from .optimize import (
 )
 from .secrecy import CsiError, PowerSplit, SystemConfig, _is_int, secrecy_rate
 
-_COMMANDS = (
-    "rate",
-    "sweep",
-    "opt-phi",
-    "opt-phi-adaptive",
-    "critical-snr",
-    "table1",
-    "validate",
-)
 _TABLE1_NA = (2, 4, 6, 8, 10)
 _TABLE1_S2 = (0.0, 0.1, 0.2)
 _NEGATIVE_NUMBER = re.compile(r"-[0-9.]")
-# Keys a --config file may set. Values stay strings: argparse converts a
-# string default through its flag's type=, so a bad value is reported
-# against the flag it would have set.
-_CONFIG_KEYS = frozenset(
-    ("na", "ne", "snr_db", "phi", "sigma_tilde2", "samples", "seed", "output", "quad_order")
-)
+_Rows = tuple[list[str], list[list[object]], bool]
+
+
+def _option(default: object, parse: Callable[[str], object], text: str) -> object:
+    # A RunSpec field that is also a flag and a --config key. argparse
+    # applies parse to strings only, so the default is stored as written.
+    return field(default=default, metadata={"parse": parse, "help": text})
 
 
 @dataclass(frozen=True)
@@ -51,20 +44,28 @@ class RunSpec:
     """A fully parsed, validated request for one CLI run."""
 
     command: str
-    na: int = 4
-    ne: int = 1
-    snr_db: tuple[float, ...] = (10.0,)
-    phi: Union[float, str] = 0.5
-    sigma_tilde2: float = 0.0
-    samples: int = 100_000
-    seed: int = 0
-    output: str = "-"
-    quad_order: int = 64
-    debug: bool = False
+    na: int = _option(4, int, "transmit antennas")
+    ne: int = _option(1, int, "eavesdropper antennas, colluding")
+    snr_db: tuple[float, ...] = _option((10.0,), str, "SNR in dB: scalar or start:stop:step")
+    phi: Union[float, str] = _option(0.5, str, "information-power fraction in (0,1), or 'opt'")
+    sigma_tilde2: float = _option(0.0, float, "channel-estimation error variance in [0,1)")
+    samples: int = _option(100_000, int, "Monte Carlo sample count")
+    seed: int = _option(0, int, "Monte Carlo seed")
+    output: str = _option("-", str, "CSV destination path, '-' for stdout")
+    quad_order: int = _option(64, int, "quadrature order for the adaptive optimizer")
 
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        # --snr-db and --phi are parsed from their text here, so the flag
+        # and a --config value fail with the same message.
+        if isinstance(self.snr_db, str):
+            object.__setattr__(self, "snr_db", parse_snr_db(self.snr_db))
+        if isinstance(self.phi, str) and self.phi != "opt":
+            try:
+                object.__setattr__(self, "phi", float(self.phi))
+            except ValueError as exc:
+                raise ValueError(f"--phi must be a number or 'opt', got {self.phi!r}") from exc
         # The library types validate the fields they model and raise
         # ValueError, which the CLI reports as a usage error.
         SystemConfig(self.na, self.ne)
@@ -73,10 +74,8 @@ class RunSpec:
             raise ValueError("--snr-db produced an empty range")
         if any(not math.isfinite(s) for s in self.snr_db):
             raise ValueError("--snr-db values must be finite")
-        if not isinstance(self.phi, str):
+        if self.phi != "opt":
             PowerSplit(self.phi)
-        elif self.phi != "opt":
-            raise ValueError(f"--phi must be a number in (0, 1) or 'opt', got {self.phi!r}")
         if not _is_int(self.samples) or self.samples < 2:
             raise ValueError(f"--samples must be an integer >= 2, got {self.samples!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -97,6 +96,13 @@ class RunSpec:
         return None
 
 
+_OPTIONS = tuple(f for f in fields(RunSpec) if f.name != "command")
+# Keys a --config file may set. Values stay strings: argparse converts a
+# string default through its flag's type=, so a bad value is reported
+# against the flag it would have set.
+_CONFIG_KEYS = frozenset(f.name for f in _OPTIONS)
+
+
 def parse_snr_db(text: str) -> tuple[float, ...]:
     """Parse --snr-db: a scalar like '10' or a range 'start:stop:step'."""
     if ":" not in text:
@@ -111,15 +117,6 @@ def parse_snr_db(text: str) -> tuple[float, ...]:
         raise ValueError(f"range stop must not precede start, got {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
-
-
-def _parse_phi(text: str) -> Union[float, str]:
-    if text == "opt":
-        return "opt"
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ValueError(f"--phi must be a number or 'opt', got {text!r}") from exc
 
 
 def _fmt(value: object) -> str:
@@ -168,7 +165,7 @@ def read_run_csv(path: str) -> list[dict[str, object]]:
 
 def _resolve_split(spec: RunSpec, p: float) -> PowerSplit:
     if spec.phi == "opt":
-        result = optimize_phi(spec.system, p, spec.csi_error, debug=spec.debug)
+        result = optimize_phi(spec.system, p, spec.csi_error)
         return PowerSplit(result.phi_star)
     return PowerSplit(float(spec.phi))
 
@@ -179,7 +176,7 @@ def _fixed_phi(spec: RunSpec) -> float:
     return float(spec.phi)
 
 
-def _rate_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
+def _sweep_rows(spec: RunSpec) -> _Rows:
     header = ["na", "ne", "snr_db", "phi", "sigma_tilde2", "c1", "c2", "c"]
     rows: list[list[object]] = []
     for snr in spec.snr_db:
@@ -190,23 +187,29 @@ def _rate_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
             [spec.na, spec.ne, snr, split.phi, spec.sigma_tilde2,
              report.c1, report.c2, report.c]
         )
-    return header, rows
+    return header, rows, True
 
 
-def _opt_phi_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
+def _rate_rows(spec: RunSpec) -> _Rows:
+    if len(spec.snr_db) > 1:
+        raise ValueError("rate takes a single --snr-db; use sweep for ranges")
+    return _sweep_rows(spec)
+
+
+def _opt_phi_rows(spec: RunSpec) -> _Rows:
     header = ["na", "ne", "snr_db", "sigma_tilde2", "phi_star", "z_star",
               "c_star", "iterations", "converged"]
     rows: list[list[object]] = []
     for snr in spec.snr_db:
-        res = optimize_phi(spec.system, from_db(snr), spec.csi_error, debug=spec.debug)
+        res = optimize_phi(spec.system, from_db(snr), spec.csi_error)
         rows.append(
             [spec.na, spec.ne, snr, spec.sigma_tilde2, res.phi_star,
              res.z_star, res.c_star, res.iterations, res.converged]
         )
-    return header, rows
+    return header, rows, True
 
 
-def _opt_phi_adaptive_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
+def _opt_phi_adaptive_rows(spec: RunSpec) -> _Rows:
     if spec.sigma_tilde2 > 0.0:
         raise ValueError("adaptive optimization supports perfect CSI only")
     header = ["na", "ne", "snr_db", "quad_order", "c_adaptive"]
@@ -214,19 +217,19 @@ def _opt_phi_adaptive_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]
     for snr in spec.snr_db:
         c_adaptive = optimize_phi_adaptive(spec.system, from_db(snr), spec.quad_order)
         rows.append([spec.na, spec.ne, snr, spec.quad_order, c_adaptive])
-    return header, rows
+    return header, rows, True
 
 
-def _critical_snr_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
+def _critical_snr_rows(spec: RunSpec) -> _Rows:
     phi = _fixed_phi(spec)
     header = ["na", "ne", "phi", "sigma_tilde2", "p_c_exact_db", "p_c_bound_db"]
     result = critical_snr(spec.system, PowerSplit(phi), spec.csi_error)
     rows = [[spec.na, spec.ne, phi, spec.sigma_tilde2,
              result.p_c_exact_db, result.p_c_bound_db]]
-    return header, rows
+    return header, rows, True
 
 
-def _table1_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
+def _table1_rows(spec: RunSpec) -> _Rows:
     phi = _fixed_phi(spec)
     split = PowerSplit(phi)
     header = ["na", "sigma_tilde2", "kind", "p_c_db"]
@@ -237,10 +240,10 @@ def _table1_rows(spec: RunSpec) -> tuple[list[str], list[list[object]]]:
             result = critical_snr(cfg, split, CsiError(s2))
             rows.append([na, s2, "exact", "%.2f" % result.p_c_exact_db])
             rows.append([na, s2, "bound", "%.2f" % result.p_c_bound_db])
-    return header, rows
+    return header, rows, True
 
 
-def _validate_rows(spec: RunSpec) -> tuple[list[str], list[list[object]], bool]:
+def _validate_rows(spec: RunSpec) -> _Rows:
     header = ["quantity", "na", "ne", "snr_db", "phi", "sigma_tilde2",
               "samples", "seed", "closed", "mc", "stderr", "abs_dev", "ok"]
     snr = spec.snr_db[0]
@@ -270,30 +273,28 @@ def _validate_rows(spec: RunSpec) -> tuple[list[str], list[list[object]], bool]:
     return header, rows, all_ok
 
 
+# Each subcommand: its help line, and the function that computes its CSV
+# header, its rows, and whether the run passed (only validate can fail).
+_COMMANDS: dict[str, tuple[str, Callable[[RunSpec], _Rows]]] = {
+    "rate": ("closed-form rate at one operating point", _rate_rows),
+    "sweep": ("closed-form rates over an SNR range", _sweep_rows),
+    "opt-phi": ("best fixed power split per SNR", _opt_phi_rows),
+    "opt-phi-adaptive": ("rate with a per-realization power split", _opt_phi_adaptive_rows),
+    "critical-snr": ("exact and bounded critical SNR at one split", _critical_snr_rows),
+    "table1": ("reference critical-SNR table (na x error grid)", _table1_rows),
+    "validate": ("closed forms vs simulation; exit 1 on 3-sigma mismatch", _validate_rows),
+}
+
+
 def run(spec: RunSpec) -> int:
     """Execute one validated request; returns the process exit code."""
-    if spec.command == "rate" and len(spec.snr_db) > 1:
-        raise ValueError("rate takes a single --snr-db; use sweep for ranges")
-    if spec.command in ("rate", "sweep"):
-        header, rows = _rate_rows(spec)
-    elif spec.command == "opt-phi":
-        header, rows = _opt_phi_rows(spec)
-    elif spec.command == "opt-phi-adaptive":
-        header, rows = _opt_phi_adaptive_rows(spec)
-    elif spec.command == "critical-snr":
-        header, rows = _critical_snr_rows(spec)
-    elif spec.command == "table1":
-        header, rows = _table1_rows(spec)
-    else:
-        header, rows, all_ok = _validate_rows(spec)
-        _write_rows(spec.output, header, rows)
-        return 0 if all_ok else 1
+    header, rows, ok = _COMMANDS[spec.command][1](spec)
     _write_rows(spec.output, header, rows)
-    return 0
+    return 0 if ok else 1
 
 
-def _load_config(path: str) -> dict[str, object]:
-    defaults: dict[str, object] = {}
+def _load_config(path: str) -> dict[str, str]:
+    defaults: dict[str, str] = {}
     with open(path) as stream:
         for lineno, raw in enumerate(stream, 1):
             line = raw.strip()
@@ -309,69 +310,33 @@ def _load_config(path: str) -> dict[str, object]:
     return defaults
 
 
-def _build_parser(defaults: Optional[dict[str, object]] = None) -> argparse.ArgumentParser:
+def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--na", type=int, default=4,
-                        help="transmit antennas (default 4)")
-    common.add_argument("--ne", type=int, default=1,
-                        help="eavesdropper antennas, colluding (default 1)")
-    common.add_argument("--snr-db", default="10",
-                        help="SNR in dB: scalar or start:stop:step (default 10)")
-    common.add_argument("--phi", default="0.5",
-                        help="information-power fraction in (0,1), or 'opt' (default 0.5)")
-    common.add_argument("--sigma-tilde2", dest="sigma_tilde2", type=float, default=0.0,
-                        help="channel-estimation error variance in [0,1) (default 0)")
-    common.add_argument("--samples", type=int, default=100_000,
-                        help="Monte Carlo sample count (default 100000)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="Monte Carlo seed (default 0)")
-    common.add_argument("--output", default="-",
-                        help="CSV destination path, '-' for stdout (default)")
-    common.add_argument("--quad-order", dest="quad_order", type=int, default=64,
-                        help="quadrature order for the adaptive optimizer (default 64)")
-    common.add_argument("--config", default=None,
+    for option in _OPTIONS:
+        shown = option.default[0] if isinstance(option.default, tuple) else option.default
+        common.add_argument(
+            "--" + option.name.replace("_", "-"),
+            type=option.metadata["parse"],
+            default=config.get(option.name, option.default),
+            help=f"{option.metadata['help']} (default {_fmt(shown)})",
+        )
+    common.add_argument("--config",
                         help="file of key=value defaults, overridden by flags")
     common.add_argument("--debug", action="store_true",
-                        help="log optimizer grids")
-    if defaults:
-        common.set_defaults(**defaults)
+                        help="log each optimizer grid to stderr")
 
     parser = argparse.ArgumentParser(
         prog="ansec",
         description="Secrecy rates for artificial-noise beamforming over Rayleigh fading.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    sub.add_parser("rate", parents=[common],
-                   help="closed-form rate at one operating point")
-    sub.add_parser("sweep", parents=[common],
-                   help="closed-form rates over an SNR range")
-    sub.add_parser("opt-phi", parents=[common],
-                   help="best fixed power split per SNR")
-    sub.add_parser("opt-phi-adaptive", parents=[common],
-                   help="rate with a per-realization power split")
-    sub.add_parser("critical-snr", parents=[common],
-                   help="exact and bounded critical SNR at one split")
-    sub.add_parser("table1", parents=[common],
-                   help="reference critical-SNR table (na x error grid)")
-    sub.add_parser("validate", parents=[common],
-                   help="closed forms vs simulation; exit 1 on 3-sigma mismatch")
+    for name, (text, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    return RunSpec(
-        command=args.command,
-        na=args.na,
-        ne=args.ne,
-        snr_db=parse_snr_db(str(args.snr_db)),
-        phi=_parse_phi(str(args.phi)),
-        sigma_tilde2=args.sigma_tilde2,
-        samples=args.samples,
-        seed=args.seed,
-        output=args.output,
-        quad_order=args.quad_order,
-        debug=args.debug,
-    )
+    return RunSpec(**{f.name: getattr(args, f.name) for f in fields(RunSpec)})
 
 
 def _bind_snr_values(argv: Sequence[str]) -> list[str]:
@@ -390,25 +355,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the exit code instead of raising SystemExit."""
     argv = _bind_snr_values(sys.argv[1:] if argv is None else argv)
     probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
+    probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     try:
-        defaults = _load_config(known.config) if known.config else None
+        config = _load_config(known.config) if known.config else {}
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = _build_parser(defaults)
+    parser = _build_parser(config)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
+    # --debug shows the "ansec" loggers' DEBUG records on stderr for this
+    # call only: main also runs in-process, so nothing may outlive it.
+    log = logging.getLogger("ansec")
+    handler = logging.StreamHandler(sys.stderr)
+    level = log.level
+    if args.debug:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
-        spec = _spec_from_args(args)
-        return run(spec)
+        return run(_spec_from_args(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

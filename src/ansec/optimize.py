@@ -128,7 +128,6 @@ def _maximize_over_grid(
     rate: Callable[[float], float],
     tol: float,
     in_z: bool = False,
-    debug: bool = False,
 ) -> tuple[float, float, int]:
     # Maximize a clamped secrecy rate whose receiver term at a grid phi is
     # bob(phi). The best of the 65 grid rates and its neighbours (halfway
@@ -139,7 +138,7 @@ def _maximize_over_grid(
     # positive (the rate can be identically zero below the critical SNR).
     grid = _PHI_GRID
     values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))]
-    if debug:
+    if logger.isEnabledFor(logging.DEBUG):
         for phi, val in zip(grid, values):
             logger.debug("phi=%.6f rate=%.12g", phi, val)
     best = max(range(_PHI_GRID_N), key=values.__getitem__)
@@ -162,14 +161,14 @@ def optimize_phi(
     cfg: SystemConfig,
     p: float,
     err: Optional[CsiError] = None,
-    debug: bool = False,
 ) -> OptResult:
     """Best fixed power split: maximize the secrecy rate over phi in (0, 1).
 
     A 65-point grid brackets the maximum (the rate is unimodal in phi but
     can be identically zero below the critical SNR), then golden-section
     refines to |delta phi| < 1e-6. With an all-zero grid the best grid
-    point is returned with converged=False.
+    point is returned with converged=False. When the "ansec" logger is
+    enabled for DEBUG, each grid point is logged as "phi=... rate=...".
     """
 
     def bob(phi: float) -> float:
@@ -178,7 +177,7 @@ def optimize_phi(
     def rate(phi: float) -> float:
         return max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
 
-    phi_star, c_star, iterations = _maximize_over_grid(cfg, bob, rate, _PHI_TOL, debug=debug)
+    phi_star, c_star, iterations = _maximize_over_grid(cfg, bob, rate, _PHI_TOL)
     return OptResult(phi_star, 1.0 / phi_star, c_star, iterations, c_star > 0.0)
 
 

@@ -1,7 +1,7 @@
 """Scalar special functions backing the secrecy-rate closed forms.
 
 All routines are real-valued, double precision, and cover only the
-parameter families the rate expressions need: integer Gamma/Beta, the
+parameter families the rate expressions need: integer Beta, the
 generalized exponential integral E_n(x) with its exponentially scaled
 variants, and the Gauss hypergeometric family 2F1(1, b; c; x) with
 integer parameters.
@@ -22,6 +22,10 @@ import math
 
 _EULER_GAMMA = 0.57721566490153286061
 _SERIES_CF_SPLIT = 1.5  # E_n series below, continued fraction above
+# Beyond this x, e^x E_n(x) = 1/(x+n) to within rounding: the next term,
+# n/(x+n)^2 relative, is below one ulp. The continued fraction must not
+# run there: once b += 2 stops changing b it can fail to converge.
+_EN_ASYMPTOTIC = 1e16
 _EN_MAX_ITER = 10_000
 _HYP_SMALL_X = 1e-3  # below this the direct Gauss series wins on accuracy
 _HYP_MAX_TERMS = 5_000_000
@@ -33,26 +37,6 @@ def _is_int(value: object) -> bool:
     # not a count. capacity_eve's loop runs this check about 16 000 times
     # per adaptive solve at ne = 2; a type test costs half an isinstance pair.
     return type(value) is int
-
-
-def gamma_int(n: int) -> float:
-    """Gamma(n) = (n-1)! for integer n >= 1.
-
-    Exact up to the float53 limit; returns inf once (n-1)! exceeds the
-    double range (n > 171). Use gamma_int_log there.
-    """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"gamma_int requires an integer n >= 1, got {n!r}")
-    if n > 171:
-        return math.inf
-    return float(math.factorial(n - 1))
-
-
-def gamma_int_log(n: int) -> float:
-    """ln Gamma(n) for integer n >= 1; safe for any n where gamma_int overflows."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"gamma_int_log requires an integer n >= 1, got {n!r}")
-    return math.lgamma(n)
 
 
 def beta_int(a: int, b: int) -> float:
@@ -113,8 +97,8 @@ def scaled_expint_en(n: int, x: float) -> float:
     """Exponentially scaled exponential integral e^x * E_n(x).
 
     Never forms e^x on its own, so the result is finite for arbitrarily
-    large x (it decays like 1/x). n = 0 gives exactly 1/x. x = 0 is
-    allowed for n >= 2, where E_n(0) = 1/(n-1).
+    large x (it decays like 1/x, to 0.0 at x = inf). n = 0 gives exactly
+    1/x. x = 0 is allowed for n >= 2, where E_n(0) = 1/(n-1).
     """
     if not _is_int(n) or n < 0:
         raise ValueError(f"order must be an integer >= 0, got {n!r}")
@@ -128,6 +112,8 @@ def scaled_expint_en(n: int, x: float) -> float:
         return 1.0 / x
     if x < _SERIES_CF_SPLIT:
         return _scaled_en_series(n, x)
+    if x >= _EN_ASYMPTOTIC:
+        return 1.0 / (x + n)
     return _scaled_en_cf(n, x)
 
 

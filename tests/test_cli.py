@@ -1,6 +1,8 @@
 """Command-line interface: parsing, CSV emission, exit codes, round trips."""
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ansec
+from ansec import SystemConfig, from_db, optimize_phi
 from ansec.cli import RunSpec, main, parse_snr_db, read_run_csv
 
 # two-decimal reference values for the equal-power critical-SNR table,
@@ -300,6 +303,49 @@ class TestConfigFile:
         cfg.write_text("na = abc\n")
         assert main(["rate", "--config", str(cfg)]) == 2
         assert "--na" in capsys.readouterr().err
+
+
+def ansec_logging_state():
+    loggers = [logging.getLogger("ansec")] + [
+        logger for name, logger in logging.Logger.manager.loggerDict.items()
+        if name.startswith("ansec.") and isinstance(logger, logging.Logger)
+    ]
+    return [(lg.name, lg.level, list(lg.handlers)) for lg in loggers], logging.getLogger().level
+
+
+class TestDebugFlag:
+    ARGV = ["opt-phi", "--na", "3", "--snr-db", "0:10:5"]
+
+    def test_opt_phi_logs_each_grid_point(self, capsys, caplog):
+        assert main(self.ARGV) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(self.ARGV + ["--debug"]) == 0
+        debug = capsys.readouterr()
+        assert debug.out == plain.out
+        lines = debug.err.splitlines()
+        assert len(lines) == 3 * 65
+        assert all(re.fullmatch(r"phi=0\.\d{6} rate=\S+", line) for line in lines)
+        # the records the solver logs once "ansec" is enabled for DEBUG
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ansec"):
+            for snr in (0.0, 5.0, 10.0):
+                optimize_phi(SystemConfig(3, 1), from_db(snr))
+        assert lines == [record.getMessage() for record in caplog.records]
+
+    def test_rate_with_optimized_split_logs(self, capsys):
+        assert main(["rate", "--phi", "opt", "--debug"]) == 0
+        assert len(capsys.readouterr().err.splitlines()) == 65
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(ARGV + ["--debug"], 0), (["table1", "--phi", "opt", "--debug"], 2)],
+    )
+    def test_leaves_logging_as_found(self, argv, code, capsys):
+        before = ansec_logging_state()
+        assert main(argv) == code
+        capsys.readouterr()
+        assert ansec_logging_state() == before
 
 
 class TestExitCodes:

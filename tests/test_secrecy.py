@@ -123,6 +123,14 @@ class TestCapacityBob:
         got = capacity_bob(SystemConfig(na=4), 1e-12, PowerSplit(0.5))
         assert 0.0 < got < 1e-10
 
+    @pytest.mark.parametrize("err", [None, CsiError(0.1)])
+    def test_vanishing_power_past_continued_fraction(self, err):
+        # z/p = 2e300 is far past where the E_n continued fraction can run,
+        # and the denormal p = 1e-320 makes z/p inf, where C1 is exactly 0
+        cfg, s = SystemConfig(na=3), PowerSplit(0.5)
+        assert 0.0 < capacity_bob(cfg, 1e-300, s, err) < 1e-299
+        assert capacity_bob(cfg, 1e-320, s, err) == 0.0
+
     def test_power_validation(self):
         with pytest.raises(ValueError):
             capacity_bob(SystemConfig(na=4), 0.0, PowerSplit(0.5))

@@ -2,14 +2,13 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import integrate, special
 
 from ansec.specfun import (
     beta_int,
     expint_en,
-    gamma_int,
-    gamma_int_log,
     hyp2f1_1b_c,
     hyp2f1_appendix_closed_form,
     scaled_expint_en,
@@ -22,29 +21,6 @@ def rel_err(got: float, want: float) -> float:
 
 
 class TestGammaBeta:
-    def test_gamma_small_exact(self):
-        assert gamma_int(1) == 1.0
-        assert gamma_int(5) == 24.0
-
-    def test_gamma_20(self):
-        # exact integer factorial oracle: 19! = 121645100408832000
-        assert gamma_int(20) == float(math.factorial(19)) == 1.21645100408832e17
-
-    def test_gamma_overflow_to_inf(self):
-        assert math.isinf(gamma_int(172))
-        assert math.isfinite(gamma_int_log(172))
-
-    def test_gamma_log_matches_lgamma(self):
-        for n in (1, 2, 7, 50, 171, 800):
-            assert rel_err(gamma_int_log(n), math.lgamma(n)) == 0.0
-
-    @pytest.mark.parametrize("bad", [0, -3, 1.5, "2", True])
-    def test_gamma_domain(self, bad):
-        with pytest.raises(ValueError):
-            gamma_int(bad)
-        with pytest.raises(ValueError):
-            gamma_int_log(bad)
-
     def test_beta_exact_small(self):
         assert beta_int(1, 1) == 1.0
         assert rel_err(beta_int(2, 3), 1.0 / 12.0) < 1e-14
@@ -112,6 +88,16 @@ class TestExpint:
                 val = scaled_expint_en(n, x)
                 assert math.isfinite(val)
                 assert rel_err(val, 1.0 / x) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 256])
+    def test_scaled_past_continued_fraction(self, n):
+        # From about x = 3e16, b += 2 no longer changes the continued
+        # fraction's b, so it cannot converge there; every x up to inf works.
+        with mpmath.workdps(30):
+            for x in np.logspace(16, 308, 147).tolist():
+                want = float(mpmath.exp(mpmath.mpf(x)) * mpmath.expint(n, mpmath.mpf(x)))
+                assert abs(scaled_expint_en(n, x) - want) <= 1e-15 * want, x
+        assert scaled_expint_en(n, math.inf) == 0.0
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("x", [1e-6, 0.01, 0.3, 1.0, 1.5, 3.0, 10.0, 60.0])
