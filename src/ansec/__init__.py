@@ -40,7 +40,6 @@ from .secrecy import (
     secrecy_rate_large_na,
 )
 from .specfun import (
-    beta_int,
     expint_en,
     hyp2f1_1b_c,
     hyp2f1_appendix_closed_form,
@@ -61,7 +60,6 @@ __all__ = [
     "PowerSplit",
     "RateReport",
     "SystemConfig",
-    "beta_int",
     "capacity_bob",
     "capacity_eve",
     "ccdf_sir",

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 from .secrecy import (
     LN2,
-    _SERIES_LIMIT,
     CsiError,
     PowerSplit,
     SystemConfig,
@@ -36,6 +35,7 @@ _PHI_GRID = tuple((i + 1) / (_PHI_GRID_N + 1) for i in range(_PHI_GRID_N))
 _EVE_GRID_CACHE_SIZE = 256  # (na, ne) tables of C2 kept by _eve_on_grid
 _PHI_TOL = 1e-6
 _Z_TOL = 1e-6
+_SERIES_LIMIT = 0.99  # |u| bound of the dC2/dz series, closed form beyond
 _SNR_PROBE = 1e6  # beyond 60 dB the critical SNR is reported as infinite
 _REGIMES = ("exact-ne1", "na2-closed", "large-na", "large-na-asymptotic")
 

@@ -25,7 +25,7 @@ from . import specfun
 from .specfun import _is_int
 
 LN2 = math.log(2.0)
-_SERIES_LIMIT = 0.99  # expansion-ratio bound for the single-eavesdropper series
+_EVE_MAX_TERMS = 200  # loop cap of every ne = 1 C2 route
 
 
 @dataclass(frozen=True)
@@ -163,45 +163,69 @@ def ccdf_sir(x: float, cfg: SystemConfig) -> float:
 
 
 def _eve_nats_single(na: int, z: float) -> float:
-    # Single eavesdropper, capacity in nats. With u = (na - z)/(na - 1):
-    #   series: sum_{m>=0} u^m / (na - 1 + m), smooth through z = na;
-    #   closed: u^{-(na-1)} (ln((na-1)/(z-1)) - sum_{l<na-1} u^l / l),
-    # regrouped so only nonpositive powers of u appear when |u| > 1.
+    # Single eavesdropper, capacity in nats: S = sum_{m>=0} u^m / (a + m)
+    # = 2F1(1, a; a+1; u) / a, a = na - 1, u = (na - z)/a, y = z - 1, by:
+    #   |u| <= 1/2: the series itself, smooth through z = na;
+    #   u < -1.5: closed u^{-a} (ln(a/y) - sum_{l<a} u^l / l) in nonpositive
+    #     powers of u (it cancels near |u| = 1: 6e-11 at u = -0.99, na = 512);
+    #   y <= 1.5: the connection series in x = 1 - u = y/a (DLMF 15.8.10),
+    #     sum_k (a)_k/k! (psi(k+1) - psi(a+k) - ln x) x^k, ratio about y;
+    #   else: the Pfaff form 2F1(1, 1; a+1; w) / y, w = u/(u-1) (DLMF 15.8.1),
+    #     as Gauss's 1/(1 - k_1 w/(1 - k_2 w/(1 - ...))) by modified Lentz.
+    # x and w come from z, not from the rounded u, which costs digits near
+    # u = 1. No route needs more than about 140 terms, for any na.
     a = na - 1
     u = (na - z) / a
-    if abs(u) <= _SERIES_LIMIT:
-        total = 0.0
+    y = z - 1.0
+    total = 0.0
+    if abs(u) <= 0.5:
         term = 1.0
-        m = 0
-        while True:
-            contrib = term / (a + m)
-            total += contrib
+        for m in range(_EVE_MAX_TERMS):
+            total += term / (a + m)
             term *= u
-            m += 1
-            if abs(term) / (a + m) <= 1e-18 * abs(total):
+            if abs(term) / (a + m + 1) <= 1e-18 * abs(total):
                 return total
-            if m > 200_000:
-                raise RuntimeError(f"series failed to converge for na={na}, z={z}")
-    log_part = math.log(a / (z - 1.0)) * u ** (1 - a)
-    partial = 0.0
-    for l in range(1, a):
-        partial += u ** (l + 1 - a) / l
-    return (log_part - partial) / u
+    elif u < -1.5:
+        log_part = math.log(a / y) * u ** (1 - a)
+        partial = 0.0
+        for l in range(1, a):
+            partial += u ** (l + 1 - a) / l
+        return (log_part - partial) / u
+    elif y <= 1.5:  # here u > 1/2, since u < -1/2 needs y > 1.5; so x < 1/2
+        x = y / a
+        bracket = -math.log(x) - math.fsum(1.0 / j for j in range(1, a))
+        coef = 1.0
+        for k in range(_EVE_MAX_TERMS):
+            total += coef * bracket
+            coef *= (a + k) / (k + 1.0) * x
+            bracket += 1.0 / (k + 1.0) - 1.0 / (a + k)
+            if coef * (abs(bracket) + 1.0) <= 1e-17 * total:
+                return total
+    else:
+        w = (z - na) / y
+        f = c = 1.0
+        d = 0.0
+        for n in range(1, _EVE_MAX_TERMS):
+            h = (n + 1) // 2
+            k = h * (a + h - 1.0) / ((a + n - 1.0) * (a + n))
+            d = 1.0 / (1.0 - k * w * d)
+            c = 1.0 - k * w / c
+            delta = c * d
+            f *= delta
+            if abs(delta - 1.0) < 1e-16:
+                return 1.0 / (f * y)
+    raise RuntimeError(f"C2 evaluation exceeded {_EVE_MAX_TERMS} terms for na={na}, z={z}")
 
 
 def _eve_nats_general(na: int, ne: int, z: float) -> float:
-    # Colluding eavesdroppers, capacity in nats: one hypergeometric term
-    # per order statistic of the interference-whitened channel.
+    # Colluding eavesdroppers, capacity in nats: one hypergeometric term per
+    # order statistic of the interference-whitened channel, weighted by
+    # C(na-1, k) B(k+1, na-1-k) = 1/(na-1-k); SystemConfig checked na, ne.
     x = (z - na) / (z - 1.0)
     scale = (na - 1.0) / (z - 1.0)
     total = 0.0
     for k in range(ne):
-        total += (
-            math.comb(na - 1, k)
-            * scale
-            * specfun.beta_int(k + 1, na - 1 - k)
-            * specfun.hyp2f1_1b_c(k + 1, na, x)
-        )
+        total += scale / (na - 1 - k) * specfun._hyp2f1_1b_c(k + 1, na, x)
     return total
 
 

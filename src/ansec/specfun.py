@@ -1,10 +1,10 @@
 """Scalar special functions backing the secrecy-rate closed forms.
 
 All routines are real-valued, double precision, and cover only the
-parameter families the rate expressions need: integer Beta, the
-generalized exponential integral E_n(x) with its exponentially scaled
-variants, and the Gauss hypergeometric family 2F1(1, b; c; x) with
-integer parameters.
+parameter families the rate expressions need: the generalized
+exponential integral E_n(x) with its exponentially scaled variants,
+and the Gauss hypergeometric family 2F1(1, b; c; x) with integer
+parameters.
 
 Method sources: the E_n series/continued-fraction split follows
 Abramowitz & Stegun 5.1.12 and 5.1.22 (Lentz's algorithm for the
@@ -22,10 +22,10 @@ import math
 
 _EULER_GAMMA = 0.57721566490153286061
 _SERIES_CF_SPLIT = 1.5  # E_n series below, continued fraction above
-# Beyond this x, e^x E_n(x) = 1/(x+n) to within rounding: the next term,
-# n/(x+n)^2 relative, is below one ulp. The continued fraction must not
-# run there: once b += 2 stops changing b it can fail to converge.
-_EN_ASYMPTOTIC = 1e16
+# From x^3 >= _EN_ASYMPTOTIC * n on, e^x E_n(x) = 1/(x+n) (1 + n/(x+n)^2) to one
+# ulp (A&S 5.1.52: the next term is below 2n/x^3 <= 1e-16); the continued
+# fraction loses digits past there, and fails once b += 2 no longer moves b.
+_EN_ASYMPTOTIC = 2e16
 _EN_MAX_ITER = 10_000
 _HYP_SMALL_X = 1e-3  # below this the direct Gauss series wins on accuracy
 _HYP_MAX_TERMS = 5_000_000
@@ -37,17 +37,6 @@ def _is_int(value: object) -> bool:
     # not a count. capacity_eve's loop runs this check about 16 000 times
     # per adaptive solve at ne = 2; a type test costs half an isinstance pair.
     return type(value) is int
-
-
-def beta_int(a: int, b: int) -> float:
-    """Beta(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for integers a, b >= 1.
-
-    Evaluated in the log domain and exponentiated, so large arguments
-    neither overflow nor hit intermediate factorial blowup.
-    """
-    if not _is_int(a) or not _is_int(b) or a < 1 or b < 1:
-        raise ValueError(f"beta_int requires integers a, b >= 1, got ({a!r}, {b!r})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _scaled_en_series(n: int, x: float) -> float:
@@ -112,8 +101,9 @@ def scaled_expint_en(n: int, x: float) -> float:
         return 1.0 / x
     if x < _SERIES_CF_SPLIT:
         return _scaled_en_series(n, x)
-    if x >= _EN_ASYMPTOTIC:
-        return 1.0 / (x + n)
+    if x * x * x >= _EN_ASYMPTOTIC * n:
+        t = 1.0 / (x + n)
+        return t * (1.0 + n * t * t)
     return _scaled_en_cf(n, x)
 
 
@@ -193,6 +183,10 @@ def hyp2f1_appendix_closed_form(n_cap: int, x: float, form: str) -> float:
         raise ValueError(f"n_cap must be an integer >= 1, got {n_cap!r}")
     if not x < 1:
         raise ValueError(f"the closed forms require x < 1, got x={x}")
+    return _appendix_closed_form(n_cap, x, form)
+
+
+def _appendix_closed_form(n_cap: int, x: float, form: str) -> float:
     if x == 0:
         return 1.0
     if abs(x) < _HYP_SMALL_X or n_cap * math.log(1 / abs(x)) > 600:
@@ -247,15 +241,19 @@ def hyp2f1_1b_c(b: int, c: int, x: float) -> float:
         raise ValueError(f"unsupported parameters: need c > b, got b={b}, c={c}")
     if not x < 1:
         raise ValueError(f"need x < 1, got x={x}")
+    return _hyp2f1_1b_c(b, c, x)
+
+
+def _hyp2f1_1b_c(b: int, c: int, x: float) -> float:
+    # hyp2f1_1b_c without its argument checks, for capacity_eve's loop.
     if x == 0:
         return 1.0
     if b == 1:
-        return hyp2f1_appendix_closed_form(c - 1, x, "second-form")
+        return _appendix_closed_form(c - 1, x, "second-form")
     if x < 0:
         y = x / (x - 1)
         bp = c - b
         if bp == 1:
-            return hyp2f1_appendix_closed_form(c - 1, y, "second-form") / (1.0 - x)
+            return _appendix_closed_form(c - 1, y, "second-form") / (1.0 - x)
         return _gauss_series_1b_c(bp, c, y) / (1.0 - x)
     return _gauss_series_1b_c(b, c, x)
-

@@ -3,15 +3,20 @@ import inspect
 import math
 import random
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
+import ansec.secrecy
 from ansec.secrecy import (
     CsiError,
     PowerSplit,
     RateReport,
     SystemConfig,
     _eve_nats_general,
+    _eve_nats_single,
     capacity_bob,
     capacity_eve,
     ccdf_sir,
@@ -195,6 +200,18 @@ class TestCcdfSir:
             ccdf_sir(-0.5, SystemConfig(na=4, ne=2))
 
 
+def lerch_oracle(na: int, z: float) -> mpmath.mpf:
+    # sum_m u^m / (na - 1 + m) at 30 digits, with u formed exactly from z
+    with mpmath.workdps(30):
+        u = (na - mpmath.mpf(z)) / (na - 1)
+        return mpmath.lerchphi(u, 1, na - 1)
+
+
+def oracle_rel_err(got: float, want: mpmath.mpf) -> float:
+    with mpmath.workdps(30):
+        return float(abs((got - want) / want))
+
+
 class TestCapacityEve:
     @pytest.mark.parametrize(
         "na,ne,z,want",
@@ -240,6 +257,33 @@ class TestCapacityEve:
             general = _eve_nats_general(na, 1, z) / LN2
             assert rel_err(fast, general) < 1e-9, (na, z)
 
+    def test_inner_loop_skips_argument_checks(self, monkeypatch):
+        # SystemConfig validated na and ne once; the per-order hypergeometric
+        # terms run on the unchecked kernels
+        cfg = SystemConfig(na=8, ne=4)
+        calls = []
+        monkeypatch.setattr(ansec.specfun, "_is_int", lambda v: calls.append(v) or True)
+        for z in (1.2, 3.0, 8.0, 40.0):
+            capacity_eve(cfg, PowerSplit.from_z(z))
+        assert calls == []
+
+    def test_general_route_weights_against_mpmath(self):
+        # sum_k C(na-1, k) B(k+1, na-1-k) scale 2F1(1, k+1; na; x), at 30 digits
+        rng = random.Random(21)
+        for _ in range(20):
+            na = rng.randint(3, 40)
+            ne = rng.randint(2, min(na - 1, 6))
+            z = math.exp(rng.uniform(math.log(1.001), math.log(200.0)))
+            with mpmath.workdps(30):
+                zm = mpmath.mpf(z)
+                x = (zm - na) / (zm - 1)
+                want = mpmath.fsum(
+                    mpmath.binomial(na - 1, k) * mpmath.beta(k + 1, na - 1 - k)
+                    * (na - 1) / (zm - 1) * mpmath.hyp2f1(1, k + 1, na, x)
+                    for k in range(ne)
+                )
+            assert oracle_rel_err(_eve_nats_general(na, ne, z), want) <= 1e-14, (na, ne, z)
+
     def test_power_independent_by_construction(self):
         params = inspect.signature(capacity_eve).parameters
         assert "p" not in params and "power" not in params
@@ -261,6 +305,54 @@ class TestCapacityEve:
         zs = [1.1, 1.5, 2.0, 4.0, 8.0, 20.0]
         vals = [capacity_eve(cfg, PowerSplit.from_z(z)) for z in zs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestEveSingleOracle:
+    # The ne = 1 kernel switches route at |u| = 1/2, at y = z - 1 = 1.5 and
+    # at u = -1.5; |u| = 0.99 was the switch of an earlier version.
+    TOL = 5e-14
+
+    @pytest.mark.parametrize("na", [2, 3, 17, 64, 256])
+    def test_both_sides_of_each_switch(self, na):
+        a = na - 1
+        switches = [(na + 1) / 2, na - 0.99 * a, 2.5, (3 * na - 1) / 2, na + 0.99 * a, na + 1.5 * a]
+        for z0 in switches:
+            want = lerch_oracle(na, z0)
+            sides = [math.nextafter(z0, 0.0), z0, math.nextafter(z0, math.inf)]
+            vals = [_eve_nats_single(na, z) for z in sides]
+            for z, got in zip(sides, vals):
+                assert oracle_rel_err(got, want) <= self.TOL, (na, z)
+            # two float steps of z apart: any jump between routes shows here
+            assert rel_err(vals[0], vals[2]) <= self.TOL, (na, z0)
+
+    @settings(max_examples=20)
+    @given(na=st.integers(2, 256), u=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    def test_near_one_against_lerch_phi(self, na, u):
+        z = na - u * (na - 1)
+        assume(z > 1.0)
+        assert oracle_rel_err(_eve_nats_single(na, z), lerch_oracle(na, z)) <= self.TOL
+
+    def test_every_route_within_the_term_cap(self):
+        # any call needing more terms than the cap raises, so a dense sweep
+        # over every route fails loudly if slow convergence comes back
+        assert ansec.secrecy._EVE_MAX_TERMS < 1000
+        rng = random.Random(20)
+        for na in [2, 3, 4, 8, 16, 64, 256] + [rng.randint(2, 512) for _ in range(8)]:
+            a = na - 1
+            zs = [na - u * a for u in (rng.uniform(-3.0, 1.0) for _ in range(300))]
+            zs += [1.0 + 10.0 ** -k for k in range(1, 16)]
+            zs = sorted({z for z in zs if z > 1.0})
+            vals = [_eve_nats_single(na, z) for z in zs]
+            assert all(math.isfinite(v) and v > 0.0 for v in vals)
+            assert all(lo > hi for lo, hi in zip(vals, vals[1:])), na
+
+    @pytest.mark.parametrize("na,z", [(4, 2.5), (64, 2.0), (64, 4.0), (8, 12.0)])
+    def test_hitting_the_cap_raises(self, monkeypatch, na, z):
+        # series, connection series, and the continued fraction at u > 0
+        # and at u < 0
+        monkeypatch.setattr(ansec.secrecy, "_EVE_MAX_TERMS", 3)
+        with pytest.raises(RuntimeError, match="exceeded 3 terms"):
+            _eve_nats_single(na, z)
 
 
 class TestSecrecyRate:

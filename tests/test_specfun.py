@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from ansec import specfun
 from ansec.specfun import (
-    beta_int,
     expint_en,
     hyp2f1_1b_c,
     hyp2f1_appendix_closed_form,
@@ -18,28 +18,6 @@ from ansec.specfun import (
 
 def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
-
-
-class TestGammaBeta:
-    def test_beta_exact_small(self):
-        assert beta_int(1, 1) == 1.0
-        assert rel_err(beta_int(2, 3), 1.0 / 12.0) < 1e-14
-
-    def test_beta_4_6(self):
-        # exact rational oracle: 3! * 5! / 9! = 720/362880 = 1/504
-        assert rel_err(beta_int(4, 6), 1.0 / 504.0) < 1e-13
-
-    def test_beta_symmetry(self):
-        for a, b in [(2, 9), (3, 17), (40, 7)]:
-            assert beta_int(a, b) == beta_int(b, a)
-
-    def test_beta_large_no_overflow(self):
-        assert 0.0 < beta_int(200, 300) < 1.0
-
-    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-1, 2), (2.5, 1), (True, 1), (1, True)])
-    def test_beta_domain(self, a, b):
-        with pytest.raises(ValueError):
-            beta_int(a, b)
 
 
 class TestExpint:
@@ -98,6 +76,25 @@ class TestExpint:
                 want = float(mpmath.exp(mpmath.mpf(x)) * mpmath.expint(n, mpmath.mpf(x)))
                 assert abs(scaled_expint_en(n, x) - want) <= 1e-15 * want, x
         assert scaled_expint_en(n, math.inf) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 256])
+    def test_scaled_asymptotic_cutoff(self, n):
+        # The two-term asymptotic form takes over from the continued fraction
+        # once x^3 >= _EN_ASYMPTOTIC * n; both sides of that cutoff, and the
+        # band [1e15, 1e16] where the continued fraction used to run, stay
+        # within a few ulps of 30-digit mpmath.
+        limit = specfun._EN_ASYMPTOTIC * n
+        hi = limit ** (1.0 / 3.0)
+        while hi * hi * hi < limit:
+            hi = math.nextafter(hi, math.inf)
+        while (lo := math.nextafter(hi, 0.0)) * lo * lo >= limit:
+            hi = lo
+        xs = [lo, hi] + np.geomspace(hi / 100.0, hi * 100.0, 41).tolist()
+        xs += np.geomspace(1e15, 1e16, 11).tolist()
+        with mpmath.workdps(30):
+            for x in xs:
+                want = float(mpmath.exp(mpmath.mpf(x)) * mpmath.expint(n, mpmath.mpf(x)))
+                assert abs(scaled_expint_en(n, x) - want) <= 1e-15 * want, x
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("x", [1e-6, 0.01, 0.3, 1.0, 1.5, 3.0, 10.0, 60.0])
