@@ -5,7 +5,8 @@ SNR sweeps, fixed and adaptive power-split optimization, critical-SNR
 solving, the reference critical-SNR table, and a closed-form versus
 simulation validation gate. Results are written as CSV (stdout by
 default); SNR values cross the dB/linear boundary only here. Exit
-codes: 0 success, 1 validation failure, 2 usage error.
+codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
+failure (a series or solver that raised RuntimeError).
 """
 from __future__ import annotations
 
@@ -381,6 +382,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     finally:
         log.removeHandler(handler)
         log.setLevel(level)

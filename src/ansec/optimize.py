@@ -21,6 +21,7 @@ from .secrecy import (
     CsiError,
     PowerSplit,
     SystemConfig,
+    _dc2_nats_dz,
     _is_int,
     capacity_bob,
     capacity_eve,
@@ -34,9 +35,7 @@ _PHI_GRID_N = 65  # coarse bracketing grid before golden refinement
 _PHI_GRID = tuple((i + 1) / (_PHI_GRID_N + 1) for i in range(_PHI_GRID_N))
 _EVE_GRID_CACHE_SIZE = 256  # (na, ne) tables of C2 kept by _eve_on_grid
 _PHI_TOL = 1e-6
-_Z_TOL = 1e-6
-_SERIES_LIMIT = 0.99  # |u| bound of the dC2/dz series, closed form beyond
-_SNR_PROBE = 1e6  # beyond 60 dB the critical SNR is reported as infinite
+_SNR_PROBE = 1e6  # first upper bracket of the critical SNR, 60 dB
 _REGIMES = ("exact-ne1", "na2-closed", "large-na", "large-na-asymptotic")
 
 
@@ -55,9 +54,9 @@ class OptResult:
 class CriticalSnr:
     """Smallest total power with positive secrecy rate, linear scale.
 
-    p_c_bound is the analytic upper bound (inf when the bound certifies
-    no finite power suffices); p_c_exact is the bisected crossover of
-    the two capacities, or None when it was not computed.
+    p_c_bound is the analytic upper bound (inf when it gives no finite
+    value); p_c_exact is the bisected crossover of the two capacities,
+    or None when it was not computed.
     """
 
     p_c_bound: float
@@ -123,38 +122,31 @@ def _eve_on_grid(na: int, ne: int) -> tuple[float, ...]:
 
 
 def _maximize_over_grid(
-    cfg: SystemConfig,
-    bob: Callable[[float], float],
-    rate: Callable[[float], float],
-    tol: float,
-    in_z: bool = False,
+    cfg: SystemConfig, bob: Callable[[float], float]
 ) -> tuple[float, float, int]:
-    # Maximize a clamped secrecy rate whose receiver term at a grid phi is
-    # bob(phi). The best of the 65 grid rates and its neighbours (halfway
-    # to 0 or 1 at an edge) bracket the peak, which golden section refines
-    # on rate(x), with x = phi or, with in_z, x = z = 1/phi. Returns
-    # (x*, rate*, iterations); the best grid point when it beats the
+    # Maximize the clamped secrecy rate max(bob(phi) - C2(phi), 0). The
+    # best of the 65 grid rates and its neighbours (halfway to 0 or 1 at an
+    # edge) bracket the peak, which golden section refines in phi. Returns
+    # (phi*, rate*, iterations); the best grid point when it beats the
     # refinement, and with rate 0 and no iterations when no grid rate is
     # positive (the rate can be identically zero below the critical SNR).
+    def rate(phi: float) -> float:
+        return max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
+
     grid = _PHI_GRID
     values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))]
     if logger.isEnabledFor(logging.DEBUG):
         for phi, val in zip(grid, values):
             logger.debug("phi=%.6f rate=%.12g", phi, val)
     best = max(range(_PHI_GRID_N), key=values.__getitem__)
-    x_best = 1.0 / grid[best] if in_z else grid[best]
     if values[best] <= 0.0:
-        return x_best, 0.0, 0
+        return grid[best], 0.0, 0
     lo = grid[best - 1] if best > 0 else grid[0] / 2.0
     hi = grid[best + 1] if best < _PHI_GRID_N - 1 else (grid[-1] + 1.0) / 2.0
-    if in_z:
-        # Halving is exact, so the edge brackets are 2/grid[0] and
-        # 2/(grid[-1] + 1) to the bit.
-        lo, hi = 1.0 / hi, 1.0 / lo
-    x_star, r_star, iterations = _golden_max(rate, lo, hi, tol)
+    phi_star, r_star, iterations = _golden_max(rate, lo, hi, _PHI_TOL)
     if values[best] > r_star:
-        return x_best, values[best], iterations
-    return x_star, r_star, iterations
+        return grid[best], values[best], iterations
+    return phi_star, r_star, iterations
 
 
 def optimize_phi(
@@ -174,10 +166,7 @@ def optimize_phi(
     def bob(phi: float) -> float:
         return capacity_bob(cfg, p, PowerSplit(phi), err)
 
-    def rate(phi: float) -> float:
-        return max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
-
-    phi_star, c_star, iterations = _maximize_over_grid(cfg, bob, rate, _PHI_TOL)
+    phi_star, c_star, iterations = _maximize_over_grid(cfg, bob)
     return OptResult(phi_star, 1.0 / phi_star, c_star, iterations, c_star > 0.0)
 
 
@@ -193,16 +182,11 @@ def _laguerre_rule(order: int, alpha: int) -> tuple[tuple[float, ...], tuple[flo
 
 
 def _best_rate_at_gain(cfg: SystemConfig, p: float, gain: float) -> float:
-    # Largest clamped instantaneous secrecy rate over z for a known
-    # beamforming gain; grid bracket in phi, golden refinement in z.
+    # Largest clamped instantaneous secrecy rate for a known beamforming gain.
     def bob(phi: float) -> float:
         return math.log1p(p * gain / (1.0 / phi)) / LN2
 
-    def rate(z: float) -> float:
-        c2 = capacity_eve(cfg, PowerSplit.from_z(z))
-        return max(math.log1p(p * gain / z) / LN2 - c2, 0.0)
-
-    return _maximize_over_grid(cfg, bob, rate, _Z_TOL, in_z=True)[1]
+    return _maximize_over_grid(cfg, bob)[1]
 
 
 def optimize_phi_adaptive(
@@ -214,7 +198,7 @@ def optimize_phi_adaptive(
     picks the rate-maximizing split for that draw; the eavesdropper term
     still only depends on the split. The outer expectation over the
     Gamma(na, 1)-distributed gain uses a normalized Gauss-Laguerre rule;
-    the inner maximization is solved to 1e-6 in z at every node. Never
+    the inner maximization is solved to 1e-6 in phi at every node. Never
     below the fixed-split optimum, and noticeably above it only near the
     critical SNR: less than about 3 dB above the equal-split threshold.
     Elsewhere the gain is small and shrinks as power or antennas grow.
@@ -229,33 +213,6 @@ def optimize_phi_adaptive(
     return math.fsum(
         w * _best_rate_at_gain(cfg, p, g) for g, w in zip(nodes, weights)
     )
-
-
-def _dc2_nats_dz(na: int, z: float) -> float:
-    # d/dz of the single-eavesdropper capacity in nats, u = (na-z)/(na-1):
-    #   series: -(1/a) sum_{j>=0} (j+1) u^j / (a+j+1) for moderate |u|;
-    #   closed: u^{-a-1} (ln(a/(z-1)) - sum_{l<a} u^l/l) - 1/(u (z-1)),
-    # regrouped into nonpositive powers of u so large |u| cannot overflow.
-    a = na - 1
-    u = (na - z) / a
-    if abs(u) <= _SERIES_LIMIT:
-        total = 0.0
-        term = 1.0
-        j = 0
-        while True:
-            contrib = (j + 1) * term / (a + j + 1)
-            total += contrib
-            term *= u
-            j += 1
-            if (j + 1) * abs(term) / (a + j + 1) <= 1e-18 * abs(total):
-                return -total / a
-            if j > 200_000:
-                raise RuntimeError(f"derivative series failed for na={na}, z={z}")
-    log_part = math.log(a / (z - 1.0)) * u ** (-a - 1)
-    partial = 0.0
-    for l in range(1, a):
-        partial += u ** (l - a - 1) / l
-    return log_part - partial - 1.0 / (u * (z - 1.0))
 
 
 def _bisect_decreasing(
@@ -319,10 +276,10 @@ def critical_snr_exact(
 ) -> float:
     """Power where Bob's capacity first exceeds the eavesdroppers', linear.
 
-    Bisected in log-power until the bracket is tighter than 0.001 dB.
-    If the gap is still nonpositive at 60 dB the rate never turns
-    positive at this split (with estimation error Bob's capacity has a
-    finite ceiling), and inf is returned.
+    Bisected in log-power until the bracket is tighter than 0.001 dB. The
+    upper bracket starts at 60 dB and grows 16-fold while the rate is zero
+    there. inf means estimation error caps Bob's capacity at or below the
+    eavesdroppers'; RuntimeError means the rate is still zero past 1e300.
     """
     c2 = capacity_eve(cfg, split)
 
@@ -331,7 +288,12 @@ def critical_snr_exact(
 
     hi = _SNR_PROBE
     if gap(hi) <= 0.0:
-        return math.inf
+        if err is not None and err.sigma_tilde2 > 0.0 and gap(math.inf) <= 0.0:
+            return math.inf
+        while gap(hi) <= 0.0:
+            hi *= 16.0
+            if hi > 1e300:
+                raise RuntimeError(f"the secrecy rate is still zero at p = {hi:g}, C2 = {c2!r}")
     lo = hi
     while gap(lo) > 0.0:
         lo /= 16.0
@@ -352,8 +314,9 @@ def critical_snr_upper_bound(
     Replaces Bob's exact curve with a concavity bound, giving
     p <= 1 / ((1 - s2) A / z - s2) with A = na / D - (na+1)/2 and D the
     eavesdroppers' capacity in nats (s2 = 0 recovers z / A). When the
-    denominator is nonpositive the bound certifies no finite power works
-    and inf is returned.
+    denominator is nonpositive the bound gives no finite value and inf is
+    returned; the exact threshold can still be finite, and at s2 = 0 it
+    always is.
     """
     d_nats = capacity_eve(cfg, split) * LN2
     a_term = cfg.na / d_nats - (cfg.na + 1.0) / 2.0

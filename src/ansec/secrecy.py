@@ -217,16 +217,20 @@ def _eve_nats_single(na: int, z: float) -> float:
     raise RuntimeError(f"C2 evaluation exceeded {_EVE_MAX_TERMS} terms for na={na}, z={z}")
 
 
-def _eve_nats_general(na: int, ne: int, z: float) -> float:
-    # Colluding eavesdroppers, capacity in nats: one hypergeometric term per
-    # order statistic of the interference-whitened channel, weighted by
-    # C(na-1, k) B(k+1, na-1-k) = 1/(na-1-k); SystemConfig checked na, ne.
-    x = (z - na) / (z - 1.0)
-    scale = (na - 1.0) / (z - 1.0)
-    total = 0.0
-    for k in range(ne):
-        total += scale / (na - 1 - k) * specfun._hyp2f1_1b_c(k + 1, na, x)
-    return total
+def _dc2_nats_dz(na: int, z: float) -> float:
+    # d/dz of the single-eavesdropper capacity S above, in nats. It equals
+    # -2F1(2, a+1; a+2; u)/(a (a+1)) = -a 2F1(1, 2; na+1; w)/((a+1) (z-1)^2)
+    # with w = (z - na)/(z - 1) = u/(u - 1) (Pfaff, DLMF 15.8.1). That Gauss
+    # series slows as u -> 1, and for small na as u -> -inf; there the
+    # identity dS/dz = (S - 1/(z-1))/u, from u dS/du = 1/(1-u) - a S, takes
+    # over. Its cancellation costs up to about 3 na ulps near |u| = 1/2
+    # (6e-13 at na = 512), so at u < -1/2 it runs only below na = 16.
+    a = na - 1
+    u = (na - z) / a
+    if u > 0.5 or (u < -0.5 and na < 16):
+        return (_eve_nats_single(na, z) - 1.0 / (z - 1.0)) / u
+    w = (z - na) / (z - 1.0)
+    return -a * specfun._hyp2f1_1b_c(2, na + 1, w) / ((a + 1.0) * (z - 1.0) ** 2)
 
 
 def capacity_eve(cfg: SystemConfig, split: PowerSplit) -> float:
@@ -234,17 +238,23 @@ def capacity_eve(cfg: SystemConfig, split: PowerSplit) -> float:
 
     Noise-free eavesdroppers see SIR = (information power / per-dimension
     noise power) * X with X a fixed channel statistic, and the power
-    ratio (na-1)/(z-1) carries the whole phi dependence. ne = 1 takes a
-    dedicated logarithmic route; ne > 1 sums hypergeometric terms. A
-    degenerate split with z <= 1 yields inf rather than an error, so
-    optimizers may probe the boundary.
+    ratio (na-1)/(z-1) carries the whole phi dependence. The capacity is
+    a sum of ne hypergeometric terms, one per order statistic of the
+    interference-whitened channel. A degenerate split with z <= 1 yields
+    inf rather than an error, so optimizers may probe the boundary.
     """
     z = split.z
     if z <= 1.0:
         return math.inf
-    if cfg.ne == 1:
-        return _eve_nats_single(cfg.na, z) / LN2
-    return _eve_nats_general(cfg.na, cfg.ne, z) / LN2
+    # Term k, in nats, has weight C(na-1, k) B(k+1, na-1-k) = 1/(na-1-k)
+    # (SystemConfig checked na, ne); the k = 0 term 2F1(1, 1; na; x)/(z-1)
+    # is the single-eavesdropper sum.
+    x = (z - cfg.na) / (z - 1.0)
+    scale = (cfg.na - 1.0) / (z - 1.0)
+    total = _eve_nats_single(cfg.na, z)
+    for k in range(1, cfg.ne):
+        total += scale / (cfg.na - 1 - k) * specfun._hyp2f1_1b_c(k + 1, cfg.na, x)
+    return total / LN2
 
 
 def secrecy_rate(

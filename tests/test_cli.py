@@ -366,6 +366,18 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_numerical_failure(self, monkeypatch, capsys):
+        # a series past its term cap raises RuntimeError: one error line and
+        # a code of its own, apart from usage errors and failed validation
+        def failing(spec):
+            raise RuntimeError("2F1 series failed to converge for b=2, c=8, y=0.99")
+
+        monkeypatch.setitem(ansec.cli._COMMANDS, "critical-snr", ("", failing))
+        assert main(["critical-snr", "--na", "8", "--ne", "4", "--phi", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2F1 series failed to converge for b=2, c=8, y=0.99\n"
+
     def test_missing_command(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -282,6 +282,27 @@ class TestCriticalSnr:
         assert math.isfinite(exact)
         assert abs(to_db(exact) - 6.99) <= 0.05
 
+    def test_threshold_past_the_first_probe(self):
+        # near phi = 1 the rate turns positive only at about 68.16 dB, past
+        # the 60 dB first probe; without estimation error a finite
+        # threshold always exists, so the search must go on, not return inf
+        cfg, split = SystemConfig(na=2), PowerSplit(1.0 - 1e-7)
+        p_c = critical_snr_exact(cfg, split)
+        assert abs(to_db(p_c) - 68.16) <= 0.01
+        below = secrecy_rate(cfg, p_c * 0.99, split)
+        above = secrecy_rate(cfg, p_c * 1.01, split)
+        assert below.c1 - below.c2 < 0.0 < above.c1 - above.c2
+        assert math.isinf(critical_snr_upper_bound(cfg, split))
+
+    def test_no_sign_change_raises(self):
+        class _FakeSplit:
+            phi = 1.0
+            z = 1.0
+
+        # C2 is infinite at z = 1, so no power gives a positive rate
+        with pytest.raises(RuntimeError, match="still zero at p = "):
+            critical_snr_exact(SystemConfig(na=2), _FakeSplit())
+
     def test_exact_infinite_when_ceiling_below_leakage(self):
         # estimation error caps Bob's rate below Eve's no matter the power
         p_c = critical_snr_exact(SystemConfig(na=2), PowerSplit(0.5), CsiError(0.5))

@@ -15,7 +15,7 @@ from ansec.secrecy import (
     PowerSplit,
     RateReport,
     SystemConfig,
-    _eve_nats_general,
+    _dc2_nats_dz,
     _eve_nats_single,
     capacity_bob,
     capacity_eve,
@@ -246,17 +246,6 @@ class TestCapacityEve:
         got = capacity_eve(SystemConfig(na=na, ne=ne), PowerSplit.from_z(z))
         assert rel_err(got, eve_quadrature(na, ne, z)) < 1e-8
 
-    @pytest.mark.parametrize("na", [2, 3, 4, 8, 16, 64])
-    def test_single_eavesdropper_routes_agree(self, na):
-        # the dedicated ne=1 evaluation against the general hypergeometric form
-        zs = [1.001, 1.5, 2.0, float(na) - 1e-7, float(na), float(na) + 1e-7, 30.0, 50.0]
-        for z in zs:
-            if z <= 1.0:
-                continue
-            fast = capacity_eve(SystemConfig(na=na), PowerSplit.from_z(z))
-            general = _eve_nats_general(na, 1, z) / LN2
-            assert rel_err(fast, general) < 1e-9, (na, z)
-
     def test_inner_loop_skips_argument_checks(self, monkeypatch):
         # SystemConfig validated na and ne once; the per-order hypergeometric
         # terms run on the unchecked kernels
@@ -268,21 +257,28 @@ class TestCapacityEve:
         assert calls == []
 
     def test_general_route_weights_against_mpmath(self):
-        # sum_k C(na-1, k) B(k+1, na-1-k) scale 2F1(1, k+1; na; x), at 30 digits
+        # sum_k C(na-1, k) B(k+1, na-1-k) scale 2F1(1, k+1; na; x), at 30
+        # digits; at large na and small z the k = 0 term dominates
         rng = random.Random(21)
+        cases = []
         for _ in range(20):
             na = rng.randint(3, 40)
             ne = rng.randint(2, min(na - 1, 6))
-            z = math.exp(rng.uniform(math.log(1.001), math.log(200.0)))
+            cases.append((na, ne, math.exp(rng.uniform(math.log(1.001), math.log(200.0)))))
+        for na in (48, 64, 128, 256):
+            cases += [(na, rng.randint(2, 6), rng.uniform(1.05, 5.0)) for _ in range(3)]
+        for na, ne, z in cases:
+            split = PowerSplit.from_z(z)
             with mpmath.workdps(30):
-                zm = mpmath.mpf(z)
+                zm = mpmath.mpf(split.z)
                 x = (zm - na) / (zm - 1)
                 want = mpmath.fsum(
                     mpmath.binomial(na - 1, k) * mpmath.beta(k + 1, na - 1 - k)
                     * (na - 1) / (zm - 1) * mpmath.hyp2f1(1, k + 1, na, x)
                     for k in range(ne)
-                )
-            assert oracle_rel_err(_eve_nats_general(na, ne, z), want) <= 1e-14, (na, ne, z)
+                ) / mpmath.log(2)
+            got = capacity_eve(SystemConfig(na, ne), split)
+            assert oracle_rel_err(got, want) <= 1e-14, (na, ne, z)
 
     def test_power_independent_by_construction(self):
         params = inspect.signature(capacity_eve).parameters
@@ -325,6 +321,15 @@ class TestEveSingleOracle:
             # two float steps of z apart: any jump between routes shows here
             assert rel_err(vals[0], vals[2]) <= self.TOL, (na, z0)
 
+    @pytest.mark.parametrize("na", [2, 3, 4, 8, 16, 64])
+    def test_listed_points_against_lerch_phi(self, na):
+        # near z = 1, on both sides of the z = na parameter collision, and
+        # far past it
+        zs = [1.001, 1.5, 2.0, na - 1e-7, float(na), na + 1e-7, 30.0, 50.0]
+        for z in zs:
+            got = _eve_nats_single(na, z)
+            assert oracle_rel_err(got, lerch_oracle(na, z)) <= self.TOL, (na, z)
+
     @settings(max_examples=20)
     @given(na=st.integers(2, 256), u=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
     def test_near_one_against_lerch_phi(self, na, u):
@@ -353,6 +358,48 @@ class TestEveSingleOracle:
         monkeypatch.setattr(ansec.secrecy, "_EVE_MAX_TERMS", 3)
         with pytest.raises(RuntimeError, match="exceeded 3 terms"):
             _eve_nats_single(na, z)
+
+
+def dc2_oracle(na: int, z: float) -> mpmath.mpf:
+    # d/dz sum_m u^m / (a + m) = -2F1(2, a+1; a+2; u) / (a (a+1)), a = na - 1,
+    # at 30 digits with u formed exactly from z
+    with mpmath.workdps(30):
+        a = na - 1
+        u = (na - mpmath.mpf(z)) / a
+        return -mpmath.hyp2f1(2, a + 1, a + 2, u) / (a * (a + 1))
+
+
+class TestDc2Oracle:
+    # dC2/dz differentiates the C2 kernel through (S - 1/(z-1))/u for
+    # u > 1/2, and for u < -1/2 below na = 16; elsewhere it takes the Pfaff
+    # form's Gauss series. |u| = 0.99 was the switch of an earlier version.
+    TOL = 5e-13
+    NAS = [2, 3, 15, 16, 17, 64, 256, 512]
+
+    @pytest.mark.parametrize("na", NAS)
+    def test_both_sides_of_each_switch(self, na):
+        a = na - 1
+        for z0 in (na - 0.5 * a, na + 0.5 * a, na - 0.99 * a, na + 0.99 * a):
+            want = dc2_oracle(na, z0)
+            sides = [math.nextafter(z0, 0.0), z0, math.nextafter(z0, math.inf)]
+            vals = [_dc2_nats_dz(na, z) for z in sides]
+            for z, got in zip(sides, vals):
+                assert oracle_rel_err(got, want) <= self.TOL, (na, z)
+            assert rel_err(vals[0], vals[2]) <= self.TOL, (na, z0)
+
+    @pytest.mark.parametrize("na", NAS)
+    def test_across_u_against_hyp2f1(self, na):
+        rng = random.Random(na)
+        for u in [rng.uniform(-3.0, 1.0) for _ in range(12)]:
+            z = na - u * (na - 1)
+            assert oracle_rel_err(_dc2_nats_dz(na, z), dc2_oracle(na, z)) <= self.TOL, (na, z)
+
+    def test_hitting_the_cap_raises(self, monkeypatch):
+        # the Gauss series; the identity runs on the C2 kernel, whose caps
+        # TestEveSingleOracle checks
+        monkeypatch.setattr(ansec.specfun, "_HYP_MAX_TERMS", 3)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            _dc2_nats_dz(64, 40.0)
 
 
 class TestSecrecyRate:
