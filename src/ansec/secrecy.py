@@ -25,7 +25,6 @@ from . import specfun
 from .specfun import _is_int
 
 LN2 = math.log(2.0)
-_EVE_MAX_TERMS = 200  # loop cap of every ne = 1 C2 route
 
 
 @dataclass(frozen=True)
@@ -163,58 +162,9 @@ def ccdf_sir(x: float, cfg: SystemConfig) -> float:
 
 
 def _eve_nats_single(na: int, z: float) -> float:
-    # Single eavesdropper, capacity in nats: S = sum_{m>=0} u^m / (a + m)
-    # = 2F1(1, a; a+1; u) / a, a = na - 1, u = (na - z)/a, y = z - 1, by:
-    #   |u| <= 1/2: the series itself, smooth through z = na;
-    #   u < -1.5: closed u^{-a} (ln(a/y) - sum_{l<a} u^l / l) in nonpositive
-    #     powers of u (it cancels near |u| = 1: 6e-11 at u = -0.99, na = 512);
-    #   y <= 1.5: the connection series in x = 1 - u = y/a (DLMF 15.8.10),
-    #     sum_k (a)_k/k! (psi(k+1) - psi(a+k) - ln x) x^k, ratio about y;
-    #   else: the Pfaff form 2F1(1, 1; a+1; w) / y, w = u/(u-1) (DLMF 15.8.1),
-    #     as Gauss's 1/(1 - k_1 w/(1 - k_2 w/(1 - ...))) by modified Lentz.
-    # x and w come from z, not from the rounded u, which costs digits near
-    # u = 1. No route needs more than about 140 terms, for any na.
-    a = na - 1
-    u = (na - z) / a
-    y = z - 1.0
-    total = 0.0
-    if abs(u) <= 0.5:
-        term = 1.0
-        for m in range(_EVE_MAX_TERMS):
-            total += term / (a + m)
-            term *= u
-            if abs(term) / (a + m + 1) <= 1e-18 * abs(total):
-                return total
-    elif u < -1.5:
-        log_part = math.log(a / y) * u ** (1 - a)
-        partial = 0.0
-        for l in range(1, a):
-            partial += u ** (l + 1 - a) / l
-        return (log_part - partial) / u
-    elif y <= 1.5:  # here u > 1/2, since u < -1/2 needs y > 1.5; so x < 1/2
-        x = y / a
-        bracket = -math.log(x) - math.fsum(1.0 / j for j in range(1, a))
-        coef = 1.0
-        for k in range(_EVE_MAX_TERMS):
-            total += coef * bracket
-            coef *= (a + k) / (k + 1.0) * x
-            bracket += 1.0 / (k + 1.0) - 1.0 / (a + k)
-            if coef * (abs(bracket) + 1.0) <= 1e-17 * total:
-                return total
-    else:
-        w = (z - na) / y
-        f = c = 1.0
-        d = 0.0
-        for n in range(1, _EVE_MAX_TERMS):
-            h = (n + 1) // 2
-            k = h * (a + h - 1.0) / ((a + n - 1.0) * (a + n))
-            d = 1.0 / (1.0 - k * w * d)
-            c = 1.0 - k * w / c
-            delta = c * d
-            f *= delta
-            if abs(delta - 1.0) < 1e-16:
-                return 1.0 / (f * y)
-    raise RuntimeError(f"C2 evaluation exceeded {_EVE_MAX_TERMS} terms for na={na}, z={z}")
+    # Single eavesdropper, capacity in nats: S_a(u) = sum_{m>=0} u^m / (a + m)
+    # with a = na - 1 and u = (na - z)/a, so a u = na - z and a (1 - u) = z - 1.
+    return specfun._lerch_sum(na - 1, na - z, z - 1.0)
 
 
 def _dc2_nats_dz(na: int, z: float) -> float:

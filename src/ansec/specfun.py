@@ -9,12 +9,11 @@ parameters.
 Method sources: the E_n series/continued-fraction split follows
 Abramowitz & Stegun 5.1.12 and 5.1.22 (Lentz's algorithm for the
 continued fraction, which directly yields the scaled function
-e^x E_n(x) without forming e^x); negative hypergeometric arguments are
-mapped into (0, 1) by the Pfaff transformation (DLMF 15.8.1); the
-logarithmic closed forms evaluate their "log minus partial sum"
-bracket as an exact tail series sum_{l>=N} w^l / l whenever that
-converges, because the direct difference cancels catastrophically for
-small |w|.
+e^x E_n(x) without forming e^x). One bounded kernel sums
+S_a(u) = sum_m u^m/(a+m) = 2F1(1, a; a+1; u)/a: the single-eavesdropper
+capacity, and through the Pfaff transformation (DLMF 15.8.1) every
+2F1(1, 1; c; x), hence the appendix closed forms. Other negative
+hypergeometric arguments are Pfaff-mapped into (0, 1) for a Gauss series.
 """
 from __future__ import annotations
 
@@ -27,15 +26,14 @@ _SERIES_CF_SPLIT = 1.5  # E_n series below, continued fraction above
 # fraction loses digits past there, and fails once b += 2 no longer moves b.
 _EN_ASYMPTOTIC = 2e16
 _EN_MAX_ITER = 10_000
-_HYP_SMALL_X = 1e-3  # below this the direct Gauss series wins on accuracy
 _HYP_MAX_TERMS = 5_000_000
-_TAIL_W_LIMIT = 0.99  # tail series for |w| <= limit, log closed form beyond
+_LERCH_MAX_TERMS = 200  # loop cap of every _lerch_sum route
 
 
 def _is_int(value: object) -> bool:
     # An integer count: exactly int, since bool subclasses int but True is
-    # not a count. capacity_eve's loop runs this check about 16 000 times
-    # per adaptive solve at ne = 2; a type test costs half an isinstance pair.
+    # not a count. The public entry points run this on every call; a type
+    # test costs half an isinstance pair.
     return type(value) is int
 
 
@@ -130,40 +128,57 @@ def scaled_expint_sum(n_terms: int, x: float) -> float:
     return math.fsum(scaled_expint_en(k, x) for k in range(1, n_terms + 1))
 
 
-def _log_tail(w: float, n: int) -> float:
-    # sum_{l>=n} w^l / l == log(1/(1-w)) - sum_{l<n} w^l / l, |w| < 1,
-    # evaluated directly to avoid the cancellation of the difference form.
-    t = w ** n
-    if t == 0.0:
-        return 0.0
-    acc = 0.0
-    l = n
-    while True:
-        acc += t / l
-        t *= w
-        l += 1
-        if abs(t) / l <= 1e-18 * abs(acc) + 5e-324:
-            return acc
-        if l - n > _HYP_MAX_TERMS:
-            raise RuntimeError(f"log-tail series failed to converge for w={w}, n={n}")
-
-
-def _appendix_series(n_cap: int, x: float, form: str) -> float:
-    # Direct Gauss series of the requested function; used for small |x|.
-    total = 1.0
-    term = 1.0
-    m = 0
-    while True:
-        if form == "first-form":
-            term *= (n_cap + m) ** 2 / ((n_cap + 1 + m) * (m + 1.0)) * x
-        else:
-            term *= (m + 1.0) / (n_cap + 1 + m) * x
-        total += term
-        m += 1
-        if abs(term) <= 1e-18 * abs(total):
-            return total
-        if m > _HYP_MAX_TERMS:
-            raise RuntimeError(f"series failed to converge for n={n_cap}, x={x}")
+def _lerch_sum(a: int, d: float, y: float) -> float:
+    # S_a(u) = sum_{m>=0} u^m / (a + m) = 2F1(1, a; a+1; u) / a, integer a >= 1,
+    # u < 1, from d = a u and y = a (1 - u) > 0, each formed without cancellation:
+    #   |u| <= 1/2: the series itself, smooth through u = 0;
+    #   u < -1.5: closed u^{-a} (ln(a/y) - sum_{l<a} u^l / l) in nonpositive
+    #     powers of u (it cancels near |u| = 1: 6e-11 at u = -0.99, a = 511);
+    #   y <= 1.5: the connection series in x = 1 - u = y/a (DLMF 15.8.10),
+    #     sum_k (a)_k/k! (psi(k+1) - psi(a+k) - ln x) x^k, ratio about y;
+    #   else: the Pfaff form 2F1(1, 1; a+1; w) / y, w = u/(u-1) (DLMF 15.8.1),
+    #     as Gauss's 1/(1 - k_1 w/(1 - k_2 w/(1 - ...))) by modified Lentz.
+    # x and w come from d and y, not from the rounded u, which costs digits
+    # near u = 1. No route needs more than about 140 terms, for any a.
+    u = d / a
+    total = 0.0
+    if abs(u) <= 0.5:
+        term = 1.0
+        for m in range(_LERCH_MAX_TERMS):
+            total += term / (a + m)
+            term *= u
+            if abs(term) / (a + m + 1) <= 1e-18 * abs(total):
+                return total
+    elif u < -1.5:
+        log_part = math.log(a / y) * u ** (1 - a)
+        partial = 0.0
+        for l in range(1, a):
+            partial += u ** (l + 1 - a) / l
+        return (log_part - partial) / u
+    elif y <= 1.5:  # here u > 1/2, since u < -1/2 needs y > 1.5; so x < 1/2
+        x = y / a
+        bracket = -math.log(x) - math.fsum(1.0 / j for j in range(1, a))
+        coef = 1.0
+        for k in range(_LERCH_MAX_TERMS):
+            total += coef * bracket
+            coef *= (a + k) / (k + 1.0) * x
+            bracket += 1.0 / (k + 1.0) - 1.0 / (a + k)
+            if coef * (abs(bracket) + 1.0) <= 1e-17 * total:
+                return total
+    else:
+        w = -d / y
+        f = c = 1.0
+        e = 0.0
+        for n in range(1, _LERCH_MAX_TERMS):
+            h = (n + 1) // 2
+            k = h * (a + h - 1.0) / ((a + n - 1.0) * (a + n))
+            e = 1.0 / (1.0 - k * w * e)
+            c = 1.0 - k * w / c
+            delta = c * e
+            f *= delta
+            if abs(delta - 1.0) < 1e-16:
+                return 1.0 / (f * y)
+    raise RuntimeError(f"S_a(u) exceeded {_LERCH_MAX_TERMS} terms for a={a}, d={d}, y={y}")
 
 
 def hyp2f1_appendix_closed_form(n_cap: int, x: float, form: str) -> float:
@@ -173,9 +188,9 @@ def hyp2f1_appendix_closed_form(n_cap: int, x: float, form: str) -> float:
                         (ln(1-x) - sum_{l=1}^{N-1} (1/l) (x/(x-1))^l)
     form="second-form": 2F1(1, 1; N+1; x) = (1-x)^{N-1} * first form
 
-    with N = n_cap, valid for x < 1. Below |x| = 1e-3 the closed form
-    loses digits to cancellation and the direct series is used instead;
-    the same fallback guards rare deep-underflow corners at large N.
+    with N = n_cap, valid for x < 1. The bracket cancels, so neither is
+    summed as written: the second is hyp2f1_1b_c(1, N+1, x) and the first
+    that times (1-x)^{1-N}, or inf where it exceeds the double range.
     """
     if form not in ("first-form", "second-form"):
         raise ValueError(f"form must be 'first-form' or 'second-form', got {form!r}")
@@ -183,29 +198,11 @@ def hyp2f1_appendix_closed_form(n_cap: int, x: float, form: str) -> float:
         raise ValueError(f"n_cap must be an integer >= 1, got {n_cap!r}")
     if not x < 1:
         raise ValueError(f"the closed forms require x < 1, got x={x}")
-    return _appendix_closed_form(n_cap, x, form)
-
-
-def _appendix_closed_form(n_cap: int, x: float, form: str) -> float:
-    if x == 0:
-        return 1.0
-    if abs(x) < _HYP_SMALL_X or n_cap * math.log(1 / abs(x)) > 600:
-        return _appendix_series(n_cap, x, form)
-    w = x / (x - 1)
-    if abs(w) <= _TAIL_W_LIMIT:
-        bracket = _log_tail(w, n_cap)
-    else:
-        partial = 0.0
-        t = 1.0
-        for l in range(1, n_cap):
-            t *= w
-            partial += t / l
-        bracket = math.log1p(-x) - partial
-    if form == "first-form":
-        return n_cap * bracket * (-1.0 / x) ** n_cap
-    # (1-x)^{N-1}/x^N regrouped as a ratio power so neither factor overflows
-    # while their product is moderate (e.g. x -> -inf).
-    return n_cap * bracket * (-(1.0 - x) / x) ** (n_cap - 1) * (-1.0 / x)
+    power = 1 - n_cap if form == "first-form" else 0
+    try:
+        return _hyp2f1_1b_c(1, n_cap + 1, x) * (1.0 - x) ** power
+    except OverflowError:
+        return math.inf
 
 
 def _gauss_series_1b_c(b: int, c: int, y: float) -> float:
@@ -232,8 +229,8 @@ def _gauss_series_1b_c(b: int, c: int, y: float) -> float:
 def hyp2f1_1b_c(b: int, c: int, x: float) -> float:
     """Gauss hypergeometric 2F1(1, b; c; x) for integers c > b >= 1, x < 1.
 
-    Negative arguments are Pfaff-transformed to y = x/(x-1) in (0, 1);
-    b = 1 instances route through the logarithmic closed form.
+    c = b + 1 and b = 1 instances run on the bounded S_a(u) kernel; other
+    negative arguments are Pfaff-transformed to y = x/(x-1) in (0, 1).
     """
     if not _is_int(b) or not _is_int(c) or b < 1:
         raise ValueError(f"b and c must be integers with b >= 1, got ({b!r}, {c!r})")
@@ -248,12 +245,11 @@ def _hyp2f1_1b_c(b: int, c: int, x: float) -> float:
     # hyp2f1_1b_c without its argument checks, for capacity_eve's loop.
     if x == 0:
         return 1.0
+    if c - b == 1:
+        return b * _lerch_sum(b, b * x, b * (1.0 - x))
     if b == 1:
-        return _appendix_closed_form(c - 1, x, "second-form")
+        a = c - 1
+        return a * _lerch_sum(a, a * (x / (x - 1.0)), a / (1.0 - x)) / (1.0 - x)
     if x < 0:
-        y = x / (x - 1)
-        bp = c - b
-        if bp == 1:
-            return _appendix_closed_form(c - 1, y, "second-form") / (1.0 - x)
-        return _gauss_series_1b_c(bp, c, y) / (1.0 - x)
+        return _gauss_series_1b_c(c - b, c, x / (x - 1)) / (1.0 - x)
     return _gauss_series_1b_c(b, c, x)

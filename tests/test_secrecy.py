@@ -23,7 +23,7 @@ from ansec.secrecy import (
     secrecy_rate,
     secrecy_rate_large_na,
 )
-from ansec.specfun import scaled_expint_sum
+from ansec.specfun import hyp2f1_1b_c, hyp2f1_appendix_closed_form, scaled_expint_sum
 
 LN2 = math.log(2.0)
 
@@ -267,6 +267,9 @@ class TestCapacityEve:
             cases.append((na, ne, math.exp(rng.uniform(math.log(1.001), math.log(200.0)))))
         for na in (48, 64, 128, 256):
             cases += [(na, rng.randint(2, 6), rng.uniform(1.05, 5.0)) for _ in range(3)]
+        # ne = na - 1: the last term is 2F1(1, b; b+1; x), the C2 kernel again
+        for na in (3, 4, 8, 12, 17, 64, 256):
+            cases.append((na, na - 1, math.exp(rng.uniform(math.log(1.001), math.log(2.0 * na)))))
         for na, ne, z in cases:
             split = PowerSplit.from_z(z)
             with mpmath.workdps(30):
@@ -340,7 +343,7 @@ class TestEveSingleOracle:
     def test_every_route_within_the_term_cap(self):
         # any call needing more terms than the cap raises, so a dense sweep
         # over every route fails loudly if slow convergence comes back
-        assert ansec.secrecy._EVE_MAX_TERMS < 1000
+        assert ansec.specfun._LERCH_MAX_TERMS < 1000
         rng = random.Random(20)
         for na in [2, 3, 4, 8, 16, 64, 256] + [rng.randint(2, 512) for _ in range(8)]:
             a = na - 1
@@ -351,13 +354,24 @@ class TestEveSingleOracle:
             assert all(math.isfinite(v) and v > 0.0 for v in vals)
             assert all(lo > hi for lo, hi in zip(vals, vals[1:])), na
 
-    @pytest.mark.parametrize("na,z", [(4, 2.5), (64, 2.0), (64, 4.0), (8, 12.0)])
-    def test_hitting_the_cap_raises(self, monkeypatch, na, z):
+    @pytest.mark.parametrize(
+        "fn,args",
+        [
+            pytest.param(_eve_nats_single, (4, 2.5), id="4-2.5"),
+            pytest.param(_eve_nats_single, (64, 2.0), id="64-2.0"),
+            pytest.param(_eve_nats_single, (64, 4.0), id="64-4.0"),
+            pytest.param(_eve_nats_single, (8, 12.0), id="8-12.0"),
+            pytest.param(hyp2f1_1b_c, (5, 6, 0.3), id="c-b=1"),
+            pytest.param(hyp2f1_appendix_closed_form, (8, -20.0, "second-form"), id="appendix"),
+        ],
+    )
+    def test_hitting_the_cap_raises(self, monkeypatch, fn, args):
         # series, connection series, and the continued fraction at u > 0
-        # and at u < 0
-        monkeypatch.setattr(ansec.secrecy, "_EVE_MAX_TERMS", 3)
+        # and at u < 0; then the series and the connection series reached
+        # through 2F1(1, b; b+1; x) and through the appendix b = 1 route
+        monkeypatch.setattr(ansec.specfun, "_LERCH_MAX_TERMS", 3)
         with pytest.raises(RuntimeError, match="exceeded 3 terms"):
-            _eve_nats_single(na, z)
+            fn(*args)
 
 
 def dc2_oracle(na: int, z: float) -> mpmath.mpf:

@@ -1,5 +1,6 @@
 """Special-function kernels against exact, quadrature, and mpmath oracles."""
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -258,6 +259,14 @@ class TestHyp2f1:
         with pytest.raises(ValueError):
             hyp2f1_1b_c(True, 3, 0.2)
 
+    @pytest.mark.parametrize("b", [2, 3, 5, 15, 62, 255])
+    @pytest.mark.parametrize("x", [0.999, 0.999999, -0.99, -1e6])
+    def test_c_minus_b_one_against_mpmath(self, b, x):
+        # b S_b(x) on the bounded kernel, near x = 1 and far below 0
+        with mpmath.workdps(40):
+            want = mpmath.hyp2f1(1, b, b + 1, mpmath.mpf(x))
+            assert abs((hyp2f1_1b_c(b, b + 1, x) - want) / want) <= 1e-13
+
     def test_purity(self):
         assert hyp2f1_1b_c(3, 8, 0.9) == hyp2f1_1b_c(3, 8, 0.9)
         assert scaled_expint_sum(4, 2.0) == scaled_expint_sum(4, 2.0)
@@ -313,6 +322,32 @@ class TestAppendixForms:
     def test_extreme_negative_argument(self):
         got = hyp2f1_appendix_closed_form(63, -1e6, "second-form")
         assert rel_err(got, mpmath_2f1(1, 1, 64, -1e6)) < 1e-9
+
+    @pytest.mark.parametrize("n_cap", [31, 63, 150, 255, 511])
+    def test_large_n_against_mpmath(self, n_cap):
+        # wherever the 40-digit value is a normal double; the first form's
+        # factor (1-x)^{1-N} carries the rounding of 1-x to about N ulps
+        xs = [-1e6, -1e5, -1e4, -1e3, -99.8, -30.0, -10.0, -3.0, -1.5, -1.0, -0.7, -0.5,
+              -0.3, -0.1, -0.03, -0.01, -3e-3, -1e-3, -3e-4, -1e-4, -1e-6, 1e-6, 1e-4,
+              1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.3, 0.45, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
+        checked = 0
+        with mpmath.workdps(40):
+            for x in xs:
+                for form, ab in (("first-form", n_cap), ("second-form", 1)):
+                    want = mpmath.hyp2f1(ab, ab, n_cap + 1, mpmath.mpf(x))
+                    if not sys.float_info.min <= want <= sys.float_info.max:
+                        continue
+                    got = hyp2f1_appendix_closed_form(n_cap, x, form)
+                    assert abs((got - want) / want) <= 1e-13, (x, form)
+                    checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize("n_cap,x", [(63, 0.999999), (150, 0.999), (255, 0.95), (511, 0.9)])
+    def test_first_form_overflows_to_inf(self, n_cap, x):
+        # the finite neighbour (255, 0.9), about 1e254, is in the scan above
+        with mpmath.workdps(40):
+            assert mpmath.hyp2f1(n_cap, n_cap, n_cap + 1, mpmath.mpf(x)) > sys.float_info.max
+        assert hyp2f1_appendix_closed_form(n_cap, x, "first-form") == math.inf
 
     def test_form_validation(self):
         with pytest.raises(ValueError):
