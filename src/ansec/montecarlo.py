@@ -2,10 +2,10 @@
 
 Nothing here reuses the analytic capacity expressions (the imperfect-CSI
 routine subtracts the closed eavesdropper term, which is exact): channels
-are drawn as iid circularly symmetric complex Gaussians, the beamformer
-and its orthonormal null-space completion are built per draw with a
-Householder reflection, and the eavesdroppers' combined SIR comes from
-the MMSE quadratic form against the simulated interference Gram matrix.
+are drawn as iid circularly symmetric complex Gaussians, and the
+eavesdroppers' combined SIR is the MMSE quadratic form against their
+interference Gram matrix, which batched draws form as G G^H - g1 g1^H;
+the Householder null-space frame is built only for single draws.
 Estimates stream through a merged-moments accumulator in fixed-size
 chunks with one spawned substream per chunk, so a given (seed,
 n_samples, configuration) reproduces bit-for-bit.
@@ -21,7 +21,7 @@ import numpy as np
 from .secrecy import LN2, CsiError, PowerSplit, SystemConfig, _is_int, capacity_eve
 
 COND_LIMIT = 1e12  # Gram matrices at or above this are discarded and redrawn
-_GUARD_SAFETY = 16.0  # margin of the trace bound below COND_LIMIT, see _mmse_guarded
+_GUARD_SAFETY = 16.0  # margin of the trace bound below COND_LIMIT, see _sir_stat_batch
 _TARGET_CHUNK_ELEMENTS = 4_000_000
 
 
@@ -120,37 +120,23 @@ def sir_mmse(draw: ChannelDraw) -> float:
     """
     g1 = draw.g @ draw.w1
     g2 = draw.g @ draw.w2
-    gram = g2 @ g2.conj().T
-    cond = np.linalg.cond(gram)
-    if not cond < COND_LIMIT:
-        raise GramConditionError(
-            f"interference Gram condition {cond:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    return float(np.vdot(g1, np.linalg.solve(gram, g1)).real)
+    x, good = _mmse_exact(g1[None], (g2 @ g2.conj().T)[None])
+    if not good[0]:
+        raise GramConditionError(f"interference Gram condition is not below {COND_LIMIT:.0e}")
+    return float(x[0])
 
 
 def _eve_mixed(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Batched G [w1 | W2] without materializing the frames: apply the
-    # Householder rank-1 update to G directly.
+    # Batched g1 = G w1 and Gram G2 G2^H. W2 enters only through its projector
+    # W2 W2^H = I - w1 w1^H, so G2 G2^H = G G^H - g1 g1^H and W2 is never built.
     w1 = h.conj() / np.linalg.norm(h, axis=1, keepdims=True)
-    lead = w1[:, 0]
-    absl = np.abs(lead)
-    s = np.where(absl == 0, 1.0 + 0.0j, lead / np.where(absl == 0, 1.0, absl))
-    v = w1.copy()
-    v[:, 0] += s
-    vn2 = np.einsum("ij,ij->i", v.conj(), v).real
-    gv = np.einsum("nek,nk->ne", g, v)
-    mixed = g - (2.0 / vn2)[:, None, None] * gv[:, :, None] * v.conj()[:, None, :]
-    g1 = -s[:, None] * mixed[:, :, 0]
-    g2 = mixed[:, :, 1:]
-    return g1, g2
+    g1 = np.einsum("nek,nk->ne", g, w1)
+    gram = g @ g.conj().swapaxes(1, 2)
+    gram -= g1[:, :, None] * g1.conj()[:, None, :]
+    return g1, gram
 
 
-def _sir_stat_batch(g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _mmse_guarded(g1, g2 @ g2.conj().swapaxes(1, 2))
-
-
-def _mmse_guarded(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sir_stat_batch(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # MMSE form g1^H gram^{-1} g1 per row, with the mask of rows whose
     # Gram passes the exact COND_LIMIT rule of _mmse_exact. One LU solve
     # against [g1 | I] also yields diag(gram^{-1}). For Hermitian positive
@@ -180,9 +166,8 @@ def _mmse_guarded(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _mmse_exact(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The discard rule itself: keep a row iff cond(gram) < COND_LIMIT.
-    cond = np.linalg.cond(gram)
-    good = np.isfinite(cond) & (cond < COND_LIMIT)
+    # The discard rule itself: keep a row iff cond(gram) < COND_LIMIT (NaN fails too).
+    good = np.linalg.cond(gram) < COND_LIMIT
     x = np.full(g1.shape[0], np.nan)
     if good.any():
         sol = np.linalg.solve(gram[good], g1[good][..., None])[..., 0]
@@ -236,15 +221,8 @@ def mc_capacities(
     def step(rng: np.random.Generator, nb: int) -> int:
         nonlocal discarded
         h = _complex_gaussian(rng, (nb, cfg.na))
-        g = _complex_gaussian(rng, (nb, cfg.ne, cfg.na))
-        g1, g2 = _eve_mixed(h, g)
-        # Free each block once used: g2 is a view that keeps the whole
-        # mixed block alive, and the solve needs room for [g1 | I].
-        del g
-        gram = g2 @ g2.conj().swapaxes(1, 2)
-        del g2
-        x, good = _mmse_guarded(g1, gram)
-        del gram
+        # G stays unnamed, so it is freed before the solve, the peak stage.
+        x, good = _sir_stat_batch(*_eve_mixed(h, _complex_gaussian(rng, (nb, cfg.ne, cfg.na))))
         kept = int(good.sum())
         discarded += nb - kept
         hn2 = np.einsum("ij,ij->i", h.conj(), h).real

@@ -112,8 +112,6 @@ class RateReport:
     c1: float
     c2: float
     c: float
-    source: str = "closed-form"
-    stderr: Optional[float] = None
 
 
 def capacity_bob(

@@ -12,8 +12,8 @@ from ansec.montecarlo import (
     McEstimate,
     _complex_gaussian,
     _eve_mixed,
-    _mmse_guarded,
     _Moments,
+    _null_space_frame,
     _sir_stat_batch,
     mc_capacities,
     mc_secrecy_rate_imperfect,
@@ -131,8 +131,7 @@ class TestSirStatistic:
         n = 250_000
         h = _complex_gaussian(rng, (n, cfg.na))
         g = _complex_gaussian(rng, (n, cfg.ne, cfg.na))
-        g1, g2 = _eve_mixed(h, g)
-        x, good = _sir_stat_batch(g1, g2)
+        x, good = _sir_stat_batch(*_eve_mixed(h, g))
         xs = np.sort(x[good])
         m = xs.size
         upper = 1.0 - np.arange(m) / m          # empirical P(X > x) just below each point
@@ -141,21 +140,21 @@ class TestSirStatistic:
         sup_dev = max(np.max(np.abs(closed - upper)), np.max(np.abs(closed - lower)))
         assert sup_dev < 0.01
 
-    def test_isotropy_after_frame_mixing(self):
-        # rows of G[w1 | W2] stay iid unit complex Gaussians, so their
-        # empirical covariance must be the identity; checks g1/G2 independence
-        cfg = SystemConfig(na=4, ne=2)
+    @pytest.mark.parametrize("na,ne", [(2, 1), (4, 2), (6, 5), (8, 7), (64, 16)])
+    def test_projector_gram_matches_frame(self, na, ne):
+        # g1 and G G^H - g1 g1^H against G w1 and (G W2)(G W2)^H from the
+        # explicit Householder frame. At (2, 1) the Gram cancels when
+        # ||g2||^2 << |g1|^2, so the bound scales with ||G||_F^2, not the Gram.
         rng = np.random.default_rng(59)
-        n = 200_000
-        h = _complex_gaussian(rng, (n, cfg.na))
-        g = _complex_gaussian(rng, (n, cfg.ne, cfg.na))
-        g1, g2 = _eve_mixed(h, g)
-        rows = np.concatenate([g1[:, :, None], g2], axis=2).reshape(-1, cfg.na)
-        m = rows.shape[0]
-        cov = rows.conj().T @ rows / m
-        stderr = 1.0 / math.sqrt(m)
-        assert np.max(np.abs(cov - np.eye(cfg.na))) <= 3 * stderr
-        assert np.max(np.abs(rows.mean(axis=0))) <= 3 * stderr
+        h = _complex_gaussian(rng, (64, na))
+        g = _complex_gaussian(rng, (64, ne, na))
+        g1, gram = _eve_mixed(h, g)
+        for i in range(64):
+            w1, w2 = _null_space_frame(h[i])
+            g2 = g[i] @ w2
+            norm2 = np.linalg.norm(g[i]) ** 2
+            assert np.max(np.abs(g1[i] - g[i] @ w1)) <= 1e-13 * norm2
+            assert np.max(np.abs(gram[i] - g2 @ g2.conj().T)) <= 1e-13 * norm2
 
 
 class TestMcCapacities:
@@ -206,13 +205,14 @@ class TestMcCapacities:
 
     @pytest.mark.parametrize(
         "na,ne,seed,want",
-        [(6, 5, 1, 4.840797969389789), (2, 1, 1, 1.1726301361866616),
-         (64, 16, 2, 3.8838731813345158)],
+        [(6, 5, 1, 4.840797969389781), (2, 1, 1, 1.1726301361866616),
+         (64, 16, 2, 3.8838731813345166)],
     )
     def test_pinned_eavesdropper_estimates(self, na, ne, seed, want):
-        # exact values: a change to draws, frame, guard or solve shows here
+        # exact values: a change to draws, Gram, guard or solve shows here
         _, est2 = mc_capacities(SystemConfig(na=na, ne=ne), 3.7, PowerSplit(0.4), 100_000, seed)
         assert est2.mean == want
+        assert est2.n_discarded == 0
 
     def test_validation(self):
         cfg, s = SystemConfig(na=4, ne=2), PowerSplit(0.5)
@@ -305,9 +305,8 @@ class TestBatchGuards:
         rng = np.random.default_rng(71)
         h = _complex_gaussian(rng, (64, cfg.na))
         g = _complex_gaussian(rng, (64, cfg.ne, cfg.na))
-        g1, g2 = _eve_mixed(h, g)
-        g2[5, 1] = g2[5, 0]  # force one singular interference Gram
-        x, good = _sir_stat_batch(g1, g2)
+        g[5, 1] = g[5, 0]  # duplicated eavesdropper: singular interference Gram
+        x, good = _sir_stat_batch(*_eve_mixed(h, g))
         assert not good[5]
         assert good.sum() == 63
         assert np.isfinite(x[good]).all()
@@ -344,8 +343,8 @@ class TestBatchGuards:
         assert 0 < want.sum() < want.size
         # one exactly singular Gram sends a whole stack to the exact rule,
         # so each row is also checked alone, where the trace bound decides
-        alone = [_mmse_guarded(g1[i : i + 1], gram[i : i + 1]) for i in range(gram.shape[0])]
-        for x, good in [_mmse_guarded(g1, gram), tuple(map(np.concatenate, zip(*alone)))]:
+        alone = [_sir_stat_batch(g1[i : i + 1], gram[i : i + 1]) for i in range(gram.shape[0])]
+        for x, good in [_sir_stat_batch(g1, gram), tuple(map(np.concatenate, zip(*alone)))]:
             assert np.array_equal(good, want)
             assert np.isnan(x[~good]).all()
             ref = [np.vdot(g1[i], np.linalg.solve(gram[i], g1[i])).real for i in np.flatnonzero(good)]
@@ -359,10 +358,10 @@ class TestBatchGuards:
         h = _complex_gaussian(rng, (48, cfg.na))
         g = _complex_gaussian(rng, (48, cfg.ne, cfg.na))
         g[17] = 0.0
-        g1, g2 = _eve_mixed(h, g)
-        x, good = _sir_stat_batch(g1, g2)
+        x, good = _sir_stat_batch(*_eve_mixed(h, g))
         assert np.flatnonzero(~good).tolist() == [17]
-        gram = g2 @ g2.conj().swapaxes(1, 2)
         for i in np.flatnonzero(good):
-            want = np.vdot(g1[i], np.linalg.solve(gram[i], g1[i])).real
+            w1, w2 = _null_space_frame(h[i])
+            g1, g2 = g[i] @ w1, g[i] @ w2
+            want = np.vdot(g1, np.linalg.solve(g2 @ g2.conj().T, g1)).real
             assert x[i] == pytest.approx(want, rel=1e-13)

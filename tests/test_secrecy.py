@@ -13,7 +13,6 @@ import ansec.secrecy
 from ansec.secrecy import (
     CsiError,
     PowerSplit,
-    RateReport,
     SystemConfig,
     _dc2_nats_dz,
     _eve_nats_single,
@@ -88,11 +87,6 @@ class TestConfigTypes:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 CsiError(bad)
-
-    def test_rate_report_defaults(self):
-        r = RateReport(c1=2.0, c2=0.5, c=1.5)
-        assert r.source == "closed-form"
-        assert r.stderr is None
 
 
 class TestCapacityBob:
@@ -421,7 +415,6 @@ class TestSecrecyRate:
         cfg, p, s = SystemConfig(na=8, ne=2), 100.0, PowerSplit(0.5)
         rep = secrecy_rate(cfg, p, s)
         assert rep.c == rep.c1 - rep.c2 > 0
-        assert rep.source == "closed-form"
 
     def test_clamped_below_critical(self):
         rep = secrecy_rate(SystemConfig(na=2), 1.0, PowerSplit(0.5))
