@@ -188,20 +188,28 @@ def capacity_eve(cfg: SystemConfig, split: PowerSplit) -> float:
     noise power) * X with X a fixed channel statistic, and the power
     ratio (na-1)/(z-1) carries the whole phi dependence. The capacity is
     a sum of ne hypergeometric terms, one per order statistic of the
-    interference-whitened channel. A degenerate split with z <= 1 yields
-    inf rather than an error, so optimizers may probe the boundary.
+    interference-whitened channel. For z <= 2 the orders k >= 1 follow from
+    the first by one upward recurrence; beyond, where that recurrence is
+    unstable, each takes its own series. A degenerate split with z <= 1
+    yields inf rather than an error, so optimizers may probe the boundary.
     """
     z = split.z
     if z <= 1.0:
         return math.inf
-    # Term k, in nats, has weight C(na-1, k) B(k+1, na-1-k) = 1/(na-1-k)
-    # (SystemConfig checked na, ne); the k = 0 term 2F1(1, 1; na; x)/(z-1)
-    # is the single-eavesdropper sum.
-    x = (z - cfg.na) / (z - 1.0)
-    scale = (cfg.na - 1.0) / (z - 1.0)
-    total = _eve_nats_single(cfg.na, z)
+    # Term k, in nats, is a/((z-1)(a-k)) 2F1(1, k+1; na; x) with a = na - 1
+    # (weight C(a, k) B(k+1, a-k) = 1/(a-k); SystemConfig checked na, ne);
+    # the k = 0 term is the single-eavesdropper sum. A contiguous relation in b
+    # (DLMF 15.5) gives term_k = a/(k(a-k)) - (y/a)(a-k+1)/k term_{k-1} with
+    # y = z - 1, whose error factor stays below 1 while y <= 1.
+    a, y = cfg.na - 1, z - 1.0
+    term = total = _eve_nats_single(cfg.na, z)
+    x = (z - cfg.na) / y
     for k in range(1, cfg.ne):
-        total += scale / (cfg.na - 1 - k) * specfun._hyp2f1_1b_c(k + 1, cfg.na, x)
+        if y <= 1.0:
+            term = a / (k * (a - k)) - y / a * (a - k + 1) / k * term
+        else:
+            term = a / y / (a - k) * specfun._hyp2f1_1b_c(k + 1, cfg.na, x)
+        total += term
     return total / LN2
 
 

@@ -6,10 +6,11 @@ exponential integral E_n(x) with its exponentially scaled variants,
 and the Gauss hypergeometric family 2F1(1, b; c; x) with integer
 parameters.
 
-Method sources: the E_n series/continued-fraction split follows
-Abramowitz & Stegun 5.1.12 and 5.1.22 (Lentz's algorithm for the
-continued fraction, which directly yields the scaled function
-e^x E_n(x) without forming e^x). One bounded kernel sums
+Method sources: E_1 by its series below x = 1.5 (Abramowitz & Stegun
+5.1.11), E_n by the continued fraction 5.1.22 above (Lentz's algorithm,
+which directly yields the scaled function e^x E_n(x) without forming
+e^x), and other orders, alone or summed, by the recurrence 5.1.14 from
+one evaluated order. One bounded kernel sums
 S_a(u) = sum_m u^m/(a+m) = 2F1(1, a; a+1; u)/a: the single-eavesdropper
 capacity, and through the Pfaff transformation (DLMF 15.8.1) every
 2F1(1, 1; c; x), hence the appendix closed forms. Other negative
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 
 _EULER_GAMMA = 0.57721566490153286061
-_SERIES_CF_SPLIT = 1.5  # E_n series below, continued fraction above
+_SERIES_CF_SPLIT = 1.5  # E_1 series below, E_n continued fraction above
 # From x^3 >= _EN_ASYMPTOTIC * n on, e^x E_n(x) = 1/(x+n) (1 + n/(x+n)^2) to one
 # ulp (A&S 5.1.52: the next term is below 2n/x^3 <= 1e-16); the continued
 # fraction loses digits past there, and fails once b += 2 no longer moves b.
@@ -37,29 +38,17 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
-def _scaled_en_series(n: int, x: float) -> float:
-    # e^x E_n(x) for 0 < x < _SERIES_CF_SPLIT via A&S 5.1.12.
-    psi = -_EULER_GAMMA + sum(1.0 / k for k in range(1, n))
-    if n == 1:
-        acc = psi - math.log(x)
-    else:
-        # (-x)^{n-1}/(n-1)! in the log domain; underflows cleanly to 0
-        log_mag = (n - 1) * math.log(x) - math.lgamma(n)
-        coef = math.exp(log_mag) if log_mag > -745.0 else 0.0
-        if (n - 1) % 2:
-            coef = -coef
-        acc = coef * (psi - math.log(x))
+def _scaled_e1_series(x: float) -> float:
+    # e^x E_1(x) for 0 < x < _SERIES_CF_SPLIT via A&S 5.1.11.
+    acc = -_EULER_GAMMA - math.log(x)
     term = 1.0  # (-x)^m / m!
-    for m in range(_EN_MAX_ITER):
-        if m != n - 1:
-            contrib = term / (m - n + 1)
-            acc -= contrib
-            if abs(contrib) < 1e-18 * abs(acc) and m > n:
-                break
-        term *= -x / (m + 1)
-    else:
-        raise RuntimeError(f"E_n series failed to converge for n={n}, x={x}")
-    return math.exp(x) * acc
+    for m in range(1, _EN_MAX_ITER):
+        term *= -x / m
+        contrib = term / m
+        acc -= contrib
+        if abs(contrib) < 1e-18 * abs(acc):
+            return math.exp(x) * acc
+    raise RuntimeError(f"E_1 series failed to converge for x={x}")
 
 
 def _scaled_en_cf(n: int, x: float) -> float:
@@ -98,7 +87,10 @@ def scaled_expint_en(n: int, x: float) -> float:
     if n == 0:
         return 1.0 / x
     if x < _SERIES_CF_SPLIT:
-        return _scaled_en_series(n, x)
+        e = _scaled_e1_series(x)
+        for k in range(1, n):  # A&S 5.1.14 upward; each step scales errors by x/k < 1.5
+            e = (1.0 - x * e) / k
+        return e
     if x * x * x >= _EN_ASYMPTOTIC * n:
         t = 1.0 / (x + n)
         return t * (1.0 + n * t * t)
@@ -117,15 +109,24 @@ def expint_en(n: int, x: float) -> float:
 def scaled_expint_sum(n_terms: int, x: float) -> float:
     """e^x * sum_{k=1..n_terms} E_k(x), overflow-safe for any x > 0.
 
-    Each term is evaluated independently (series or continued fraction in
-    scaled form); the upward recurrence is avoided because it amplifies
-    error by x/k while k < x.
+    One term e^x E_k0(x) is evaluated, at k0 = n_terms if x >= n_terms and
+    at the largest k0 <= max(1, x) otherwise; the rest follow from A&S
+    5.1.14, e_{k+1} = (1 - x e_k)/k upward and e_k = (1 - k e_{k+1})/x
+    downward, each of which damps its error while it moves away from k = x.
     """
     if not _is_int(n_terms) or n_terms < 1:
         raise ValueError(f"n_terms must be an integer >= 1, got {n_terms!r}")
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"the scaled sum needs x > 0, got x={x}")
-    return math.fsum(scaled_expint_en(k, x) for k in range(1, n_terms + 1))
+    k0 = n_terms if x >= n_terms else max(1, int(x))
+    terms = [scaled_expint_en(k0, x)]
+    for k in range(k0, n_terms):
+        terms.append((1.0 - x * terms[-1]) / k)
+    e = terms[0]
+    for k in range(k0 - 1, 0, -1):
+        e = (1.0 - k * e) / x
+        terms.append(e)
+    return math.fsum(terms)
 
 
 def _lerch_sum(a: int, d: float, y: float) -> float:
@@ -157,7 +158,12 @@ def _lerch_sum(a: int, d: float, y: float) -> float:
         return (log_part - partial) / u
     elif y <= 1.5:  # here u > 1/2, since u < -1/2 needs y > 1.5; so x < 1/2
         x = y / a
-        bracket = -math.log(x) - math.fsum(1.0 / j for j in range(1, a))
+        if a < 20:
+            bracket = -math.log(x) - math.fsum(1.0 / j for j in range(1, a))
+        else:  # ln a - psi(a) by A&S 6.3.18, which also skips ln a's cancellation
+            r = 1.0 / (a * a)
+            bracket = r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r / 132))))
+            bracket += 0.5 / a - math.log(y) - _EULER_GAMMA
         coef = 1.0
         for k in range(_LERCH_MAX_TERMS):
             total += coef * bracket
@@ -199,8 +205,11 @@ def hyp2f1_appendix_closed_form(n_cap: int, x: float, form: str) -> float:
     if not x < 1:
         raise ValueError(f"the closed forms require x < 1, got x={x}")
     power = 1 - n_cap if form == "first-form" else 0
+    s = 1.0 - x
+    t = s - 1.0
+    e = (1.0 - (s - t)) - (x + t)  # Knuth's two-sum: 1 - x = s + e exactly
     try:
-        return _hyp2f1_1b_c(1, n_cap + 1, x) * (1.0 - x) ** power
+        return _hyp2f1_1b_c(1, n_cap + 1, x) * s ** power * (1.0 + power * e / s)
     except OverflowError:
         return math.inf
 

@@ -47,6 +47,10 @@ RUNS = [
     "critical-snr --na 8 --ne 4 --phi 0.3",
     "critical-snr --na 16 --ne 3 --phi 0.6 --sigma-tilde2 0.1",
     "critical-snr --na 64 --ne 1 --phi 0.9",
+    "critical-snr --na 8 --ne 4 --phi 0.999999",
+    "critical-snr --na 256 --ne 2 --phi 0.999",
+    "critical-snr --na 64 --ne 16 --phi 0.9999",
+    "critical-snr --na 8 --ne 7 --phi 0.999999",
     "table1 --phi 0.5",
     "table1 --phi 0.3",
 ]

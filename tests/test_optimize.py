@@ -1,6 +1,7 @@
 """Power-split optimization, high-SNR roots, and critical-SNR solvers."""
 import math
 
+import mpmath
 import pytest
 
 import ansec.optimize
@@ -293,6 +294,35 @@ class TestCriticalSnr:
         above = secrecy_rate(cfg, p_c * 1.01, split)
         assert below.c1 - below.c2 < 0.0 < above.c1 - above.c2
         assert math.isinf(critical_snr_upper_bound(cfg, split))
+
+    @pytest.mark.parametrize(
+        "na,ne,phi", [(8, 4, 0.999999), (256, 2, 0.999), (64, 16, 0.9999), (8, 7, 0.999999)]
+    )
+    def test_near_all_signal_against_mpmath(self, na, ne, phi):
+        # z - 1 down to 1e-6: a Gauss series per eavesdropper order would
+        # need millions of terms there. At 30 digits the rate changes sign
+        # within 0.001 dB of the threshold.
+        split = PowerSplit(phi)
+        p_c = critical_snr_exact(SystemConfig(na, ne), split)
+        with mpmath.workdps(30):
+            z, a = mpmath.mpf(split.z), na - 1
+            x = (z - na) / (z - 1)
+            c2 = mpmath.fsum(
+                a / ((z - 1) * (a - k)) * mpmath.hyp2f1(1, k + 1, na, x) for k in range(ne)
+            )
+            s = math.sqrt(na)
+            pts = sorted({0.0, max(0.0, na - 1 - 12 * s), na - 1.0, na + 12 * s, na + 50 * s + 50})
+
+            def c1(p):
+                # E[ln(1 + g p/z)] with g ~ Gamma(na, 1), by quadrature
+                return mpmath.quad(
+                    lambda g: mpmath.log1p(g * p / z)
+                    * mpmath.exp((na - 1) * mpmath.log(g) - g - mpmath.loggamma(na)),
+                    pts,
+                )
+
+            step = mpmath.mpf(10) ** mpmath.mpf("0.0001")
+            assert c1(p_c / step) < c2 < c1(p_c * step)
 
     def test_no_sign_change_raises(self):
         class _FakeSplit:

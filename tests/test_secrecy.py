@@ -300,6 +300,56 @@ class TestCapacityEve:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def eve_terms_oracle(na: int, z: float) -> list:
+    # the C2 terms in nats, a/((z-1)(a-k)) 2F1(1, k+1; na; x) for every
+    # k < a = na - 1, at 30 digits and at the float z itself: rounding z
+    # moves C2 by about 1e-16/(z - 1) relative
+    with mpmath.workdps(30):
+        zm = mpmath.mpf(z)
+        a = na - 1
+        x = (zm - na) / (zm - 1)
+        return [a / ((zm - 1) * (a - k)) * mpmath.hyp2f1(1, k + 1, na, x) for k in range(a)]
+
+
+class TestEveOrdersOracle:
+    # For z <= 2 the orders k >= 1 of C2 come from one upward recurrence
+    # seeded by the single-eavesdropper kernel; above z = 2 each order takes
+    # its own Pfaff/Gauss series.
+    TOL = 1e-14
+
+    def test_every_order_near_one_against_mpmath(self):
+        rng = random.Random(11)
+        cases = [(rng.randint(2, 48), 10.0 ** rng.uniform(-7.0, 0.0)) for _ in range(5)]
+        cases += [(rng.randint(49, 256), 10.0 ** rng.uniform(-7.0, 0.0)), (256, 1e-7), (7, 1.0)]
+        for na, y in cases:
+            split = PowerSplit.from_z(1.0 + y)
+            terms = eve_terms_oracle(na, split.z)
+            with mpmath.workdps(30):
+                for ne in range(1, na):
+                    want = mpmath.fsum(terms[:ne]) / mpmath.log(2)
+                    got = capacity_eve(SystemConfig(na, ne), split)
+                    assert oracle_rel_err(got, want) <= self.TOL, (na, ne, y)
+
+    def test_both_sides_of_the_recurrence_switch(self):
+        at, above = PowerSplit.from_z(2.0), PowerSplit.from_z(math.nextafter(2.0, math.inf))
+        assert at.z == 2.0 < above.z
+        for na in range(2, 65):
+            # above the switch each order is its own series: sum them once per
+            # na here, and tie the sums to capacity_eve at ne = 1 and na - 1
+            x = (above.z - na) / (above.z - 1.0)
+            scale = (na - 1.0) / (above.z - 1.0)
+            partial = [_eve_nats_single(na, above.z)]
+            for k in range(1, na - 1):
+                term = scale / (na - 1 - k) * ansec.specfun._hyp2f1_1b_c(k + 1, na, x)
+                partial.append(partial[-1] + term)
+            for ne in (1, na - 1):
+                got = capacity_eve(SystemConfig(na, ne), above)
+                assert rel_err(got, partial[ne - 1] / LN2) <= 1e-15, (na, ne)
+            for ne in range(1, na):
+                got = capacity_eve(SystemConfig(na, ne), at)
+                assert rel_err(got, partial[ne - 1] / LN2) <= self.TOL, (na, ne)
+
+
 class TestEveSingleOracle:
     # The ne = 1 kernel switches route at |u| = 1/2, at y = z - 1 = 1.5 and
     # at u = -1.5; |u| = 0.99 was the switch of an earlier version.
@@ -326,6 +376,15 @@ class TestEveSingleOracle:
         for z in zs:
             got = _eve_nats_single(na, z)
             assert oracle_rel_err(got, lerch_oracle(na, z)) <= self.TOL, (na, z)
+
+    @pytest.mark.parametrize("na", [20, 21, 22, 256, 512])
+    def test_both_sides_of_the_digamma_switch(self, na):
+        # near z = 1 the connection series starts from ln a - psi(a): an
+        # exact harmonic sum below a = 20, an asymptotic series from there;
+        # y = e^-gamma is where that first bracket nearly cancels
+        for y in (1e-12, 1e-6, 0.01, math.exp(-0.5772156649015329), 0.9, 1.2, 1.5):
+            z = 1.0 + y
+            assert oracle_rel_err(_eve_nats_single(na, z), lerch_oracle(na, z)) <= 2e-15, (na, y)
 
     @settings(max_examples=20)
     @given(na=st.integers(2, 256), u=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))

@@ -1,5 +1,6 @@
 """Special-function kernels against exact, quadrature, and mpmath oracles."""
 import math
+import random
 import sys
 
 import mpmath
@@ -127,6 +128,65 @@ class TestExpint:
             scaled_expint_en(True, 1.0)
 
 
+def _quad_over_log_s(f, n: int, x: float) -> mpmath.mpf:
+    # int_0^inf f(s) ds/s in v = ln s, at 20 digits: f rises near s = 1/n and
+    # falls past s = 1/x, and the cut ends leave less than 1e-30
+    lo, hi = -math.log(n), -math.log(x)
+    with mpmath.workdps(20):
+        pts = sorted({lo - 75.0, lo - 3.0, lo + 3.0, hi - 3.0, hi + 1.0, hi + 5.5})
+        return mpmath.quad(lambda v: f(mpmath.exp(v)), pts)
+
+
+def scaled_en_oracle(n: int, x: float) -> mpmath.mpf:
+    # e^x E_n(x) = int_0^inf e^{-xs} (1+s)^{-n} ds. Not mpmath.expint: near
+    # n = x it loses digits, and at 30 digits it gives e^x E_60(112.5) < 0.
+    return _quad_over_log_s(lambda s: s * mpmath.exp(-x * s - n * mpmath.log1p(s)), n, x)
+
+
+def scaled_sum_oracle(n: int, x: float) -> mpmath.mpf:
+    # e^x sum_{k<=n} E_k(x) = int_0^inf e^{-xs} (1 - (1+s)^{-n}) / s ds
+    return _quad_over_log_s(
+        lambda s: -mpmath.exp(-x * s) * mpmath.expm1(-n * mpmath.log1p(s)), n, x
+    )
+
+
+def expint_sweep(seed: int) -> list:
+    # n in [1, 256], x in [1e-300, 1e6]: the two ends, both sides of the
+    # series/continued-fraction switch at x = 1.5, the orders around n = x,
+    # and a log-uniform spread
+    rng = random.Random(seed)
+    cases = [(rng.randint(1, 256), 1e-300), (rng.randint(1, 256), 1e6), (256, 1e6), (256, 1e-300)]
+    for x in (math.nextafter(1.5, 0.0), 1.5, math.nextafter(1.5, 3.0)):
+        cases.append((rng.randint(1, 256), x))
+    for n in (rng.randint(2, 256) for _ in range(3)):
+        cases += [(n, n - 0.5), (n, math.nextafter(float(n), 0.0)), (n, float(n)), (n, n + 0.5)]
+    cases += [(rng.randint(1, 256), 10.0 ** rng.uniform(-300.0, 6.0)) for _ in range(2)]
+    cases += [(rng.randint(1, 256), 10.0 ** rng.uniform(-3.0, 6.0)) for _ in range(10)]
+    return cases
+
+
+class TestExpintOracle:
+    TOL = 1e-14
+
+    def test_scaled_en_sweep(self):
+        for n, x in expint_sweep(8):
+            assert rel_err(scaled_expint_en(n, x), scaled_en_oracle(n, x)) <= self.TOL, (n, x)
+
+    def test_scaled_sum_sweep(self):
+        for n, x in expint_sweep(9):
+            assert rel_err(scaled_expint_sum(n, x), scaled_sum_oracle(n, x)) <= self.TOL, (n, x)
+
+    def test_oracles_against_raised_precision_expint(self):
+        # the quadratures against mpmath.expint at 60 digits, where it is
+        # right again: at the point where 30 digits fail, and off n = x
+        for n, x in [(60, 112.5), (3, 1.5), (256, 0.2), (100, 100.0)]:
+            en, total = scaled_en_oracle(n, x), scaled_sum_oracle(n, x)
+            with mpmath.workdps(60):
+                terms = [mpmath.exp(x) * mpmath.expint(k, x) for k in range(1, n + 1)]
+                assert rel_err(en, terms[-1]) <= 1e-19, (n, x)
+                assert rel_err(total, mpmath.fsum(terms)) <= 1e-19, (n, x)
+
+
 class TestScaledSum:
     def test_single_term_at_1(self):
         # mpmath mp.dps=40 e * expint(1, 1)
@@ -151,11 +211,16 @@ class TestScaledSum:
     def test_no_overflow_anywhere(self, x):
         assert math.isfinite(scaled_expint_sum(8, x))
 
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    def test_zero_at_infinity(self, n):
+        # the seed order is picked before x is truncated to an integer
+        assert scaled_expint_sum(n, math.inf) == 0.0
+
     @pytest.mark.parametrize(
         "n,x,want",
         [
             # mpmath mp.dps=40 exp(x) * sum(expint(k, x) for k in 1..n);
-            # guards the log-domain series prefactor at large term counts
+            # large term counts, recurred far from the one evaluated order
             (256, 0.2, 7.15344496545304),
             (256, 2.0, 4.85788828788757),
             (128, 0.05, 7.84424482393462),
@@ -180,6 +245,8 @@ class TestScaledSum:
             scaled_expint_sum(2, 0.0)
         with pytest.raises(ValueError):
             scaled_expint_sum(2, -1.0)
+        with pytest.raises(ValueError, match="needs x > 0"):
+            scaled_expint_sum(2, math.nan)
 
 
 def euler_integral_2f1(b: int, c: int, x: float) -> float:
@@ -341,6 +408,12 @@ class TestAppendixForms:
                     assert abs((got - want) / want) <= 1e-13, (x, form)
                     checked += 1
         assert checked >= 60
+
+    def test_first_form_recovers_the_rounding_of_one_minus_x(self):
+        # 1 - 0.001 is rounded, and (1-x)^{1-N} would carry that to 5.6e-14
+        with mpmath.workdps(40):
+            want = mpmath.hyp2f1(511, 511, 512, mpmath.mpf(-0.001))
+            assert abs(hyp2f1_appendix_closed_form(511, -0.001, "first-form") / want - 1) <= 5e-15
 
     @pytest.mark.parametrize("n_cap,x", [(63, 0.999999), (150, 0.999), (255, 0.95), (511, 0.9)])
     def test_first_form_overflows_to_inf(self, n_cap, x):
