@@ -4,9 +4,12 @@ Subcommands map one-to-one onto the library surface: point rates and
 SNR sweeps, fixed and adaptive power-split optimization, critical-SNR
 solving, the reference critical-SNR table, and a closed-form versus
 simulation validation gate. Results are written as CSV (stdout by
-default); SNR values cross the dB/linear boundary only here. Exit
-codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
-failure (a series or solver that raised RuntimeError).
+default); SNR values cross the dB/linear boundary only here. The parser
+is built once, at import; a --config file's keys are parsed as flags
+typed right after the command. Exit codes: 0 success, 1 validation
+failure, 2 usage error (including an unreadable --config or an
+unwritable --output), 3 numerical failure (a series or solver that
+raised RuntimeError).
 """
 from __future__ import annotations
 
@@ -98,10 +101,7 @@ class RunSpec:
 
 
 _OPTIONS = tuple(f for f in fields(RunSpec) if f.name != "command")
-# Keys a --config file may set. Values stay strings: argparse converts a
-# string default through its flag's type=, so a bad value is reported
-# against the flag it would have set.
-_CONFIG_KEYS = frozenset(f.name for f in _OPTIONS)
+_CONFIG_KEYS = frozenset(f.name for f in _OPTIONS)  # keys a --config file may set
 
 
 def parse_snr_db(text: str) -> tuple[float, ...]:
@@ -116,8 +116,10 @@ def parse_snr_db(text: str) -> tuple[float, ...]:
         raise ValueError(f"range step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"range stop must not precede start, got {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    span = (stop - start) / step + 1e-9
+    if not math.isfinite(span):
+        raise ValueError(f"--snr-db range {text!r} does not have a finite number of points")
+    return tuple(start + i * step for i in range(int(span) + 1))
 
 
 def _fmt(value: object) -> str:
@@ -311,14 +313,14 @@ def _load_config(path: str) -> dict[str, str]:
     return defaults
 
 
-def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for option in _OPTIONS:
         shown = option.default[0] if isinstance(option.default, tuple) else option.default
         common.add_argument(
             "--" + option.name.replace("_", "-"),
             type=option.metadata["parse"],
-            default=config.get(option.name, option.default),
+            default=option.default,
             help=f"{option.metadata['help']} (default {_fmt(shown)})",
         )
     common.add_argument("--config",
@@ -336,8 +338,7 @@ def _build_parser(config: dict[str, str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    return RunSpec(**{f.name: getattr(args, f.name) for f in fields(RunSpec)})
+_PARSER = _build_parser()
 
 
 def _bind_snr_values(argv: Sequence[str]) -> list[str]:
@@ -355,31 +356,28 @@ def _bind_snr_values(argv: Sequence[str]) -> list[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the exit code instead of raising SystemExit."""
     argv = _bind_snr_values(sys.argv[1:] if argv is None else argv)
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    try:
-        config = _load_config(known.config) if known.config else {}
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser(config)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0
     # --debug shows the "ansec" loggers' DEBUG records on stderr for this
     # call only: main also runs in-process, so nothing may outlive it.
     log = logging.getLogger("ansec")
     handler = logging.StreamHandler(sys.stderr)
     level = log.level
-    if args.debug:
-        log.addHandler(handler)
-        log.setLevel(logging.DEBUG)
     try:
-        return run(_spec_from_args(args))
-    except ValueError as exc:
+        args = _PARSER.parse_args(argv)
+        if args.config:
+            # The file's keys act as if typed right after the command
+            # (argv[0]: the top-level parser takes no options), so a flag
+            # typed later wins and a bad value names the flag it sets.
+            keys = [f"--{key.replace('_', '-')}={value}"
+                    for key, value in _load_config(args.config).items()]
+            args = _PARSER.parse_args([*argv[:1], *keys, *argv[1:]])
+        if args.debug:
+            log.addHandler(handler)
+            log.setLevel(logging.DEBUG)
+        return run(RunSpec(**{f.name: getattr(args, f.name) for f in fields(RunSpec)}))
+    except SystemExit as exc:
+        code = exc.code
+        return code if isinstance(code, int) else 0
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

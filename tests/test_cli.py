@@ -1,4 +1,5 @@
 """Command-line interface: parsing, CSV emission, exit codes, round trips."""
+import argparse
 import logging
 import math
 import os
@@ -304,6 +305,47 @@ class TestConfigFile:
         assert main(["rate", "--config", str(cfg)]) == 2
         assert "--na" in capsys.readouterr().err
 
+    def test_bad_value_fails_when_overridden(self, tmp_path, capsys):
+        # file keys are parsed as flags, so a typed --na does not hide them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("na = abc\n")
+        assert main(["rate", "--config", str(cfg), "--na", "5"]) == 2
+        assert "argument --na: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_negative_range_binds_like_typed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("snr-db = -10:0:5\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+        assert [rec["snr_db"] for rec in read_run_csv(str(out))] == [-10.0, -5.0, 0.0]
+
+    def test_leaves_no_state_in_parser(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("na = 6\n")
+        code, out = run_to_file(tmp_path, "with.csv", ["rate", "--config", str(cfg)])
+        assert code == 0
+        assert read_run_csv(str(out))[0]["na"] == 6.0
+        code, out = run_to_file(tmp_path, "without.csv", ["rate"])
+        assert code == 0
+        assert read_run_csv(str(out))[0]["na"] == 4.0
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        # the parser is built once, at import; a call, with or without a
+        # config file, only parses
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("na = 6\n")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_to_file(tmp_path, "a.csv", ["rate"])[0] == 0
+        assert run_to_file(tmp_path, "b.csv", ["rate", "--config", str(cfg)])[0] == 0
+        assert built == []
+
 
 def ansec_logging_state():
     loggers = [logging.getLogger("ansec")] + [
@@ -356,11 +398,29 @@ class TestExitCodes:
             ["rate", "--phi", "1.5"],
             ["rate", "--snr-db", "10:0:1"],
             ["rate", "--samples", "1"],
+            ["sweep", "--snr-db", "0:inf:1"],
+            ["sweep", "--snr-db", "0:1e300:1e-300"],
+            ["sweep", "--snr-db", "0:1:nan"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize("snr_db", ["0:inf:1", "0:1e300:1e-300", "0:1:nan"])
+    def test_non_finite_range_names_flag(self, snr_db, capsys):
+        assert main(["sweep", "--snr-db", snr_db]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: --snr-db range .*\n", captured.err)
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output(self, where, tmp_path, capsys):
+        path = tmp_path / "no" / "x.csv" if where == "missing-dir" else tmp_path
+        assert main(["rate", "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: \[Errno \d+\] .*\n", captured.err)
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
