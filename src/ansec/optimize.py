@@ -1,6 +1,6 @@
 """Power-split optimization and critical-SNR solvers.
 
-Everything here works on the closed forms: a golden-section search over
+Everything here works on the closed forms: a root search of dR/dz over
 the information-power fraction phi (optionally with channel-estimation
 error), an adaptive variant that re-splits per channel realization
 under a Gauss-Laguerre expectation, high-SNR stationarity solvers for
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -21,22 +22,22 @@ from .secrecy import (
     CsiError,
     PowerSplit,
     SystemConfig,
+    _dc1_nats_dz,
     _dc2_nats_dz,
     _is_int,
     capacity_bob,
     capacity_eve,
 )
+from .specfun import scaled_expint_en
 
 logger = logging.getLogger(__name__)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-_PHI_GRID_N = 65  # coarse bracketing grid before golden refinement
+_PHI_GRID_N = 65  # coarse bracketing grid before the root refinement
 _PHI_GRID = tuple((i + 1) / (_PHI_GRID_N + 1) for i in range(_PHI_GRID_N))
 _EVE_GRID_CACHE_SIZE = 256  # (na, ne) tables of C2 kept by _eve_on_grid
-_PHI_TOL = 1e-6
+_PHI_TOL = 1e-10  # root tolerance in phi, on top of 4 ulps
 _SNR_PROBE = 1e6  # first upper bracket of the critical SNR, 60 dB
-_REGIMES = ("exact-ne1", "na2-closed", "large-na", "large-na-asymptotic")
+_REGIMES = ("exact", "exact-ne1", "na2-closed", "large-na", "large-na-asymptotic")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class OptResult:
     phi_star: float
     z_star: float
     c_star: float
-    iterations: int
+    iterations: int  # steps of the root finder
     converged: bool
 
 
@@ -90,27 +91,40 @@ def from_db(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float, int]:
-    # Golden-section maximization on [lo, hi] to an interval of width tol.
-    a, b = lo, hi
-    c = a + _INVPHI2 * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = a + _INVPHI2 * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        iterations += 1
-    x = 0.5 * (a + b)
-    return x, f(x), iterations
+def _zeroin(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+            tol: float) -> tuple[float, int]:
+    # Brent's zeroin (Algorithms for Minimization without Derivatives, ch. 4): (root,
+    # evaluations of f), the root between a and b where fa = f(a) and fb = f(b) differ
+    # in sign, to 4 ulps plus tol/2.
+    c, fc, steps = b, fb, 0  # the first pass sets c = a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b, steps
+        p = q = 0.0
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q = -q if p > 0.0 else q
+        if 2.0 * abs(p) < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+            e, d = d, abs(p) / q
+        else:  # bisection
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+        steps += 1
 
 
 @lru_cache(maxsize=_EVE_GRID_CACHE_SIZE)
@@ -121,32 +135,43 @@ def _eve_on_grid(na: int, ne: int) -> tuple[float, ...]:
     return tuple(capacity_eve(cfg, PowerSplit(phi)) for phi in _PHI_GRID)
 
 
-def _maximize_over_grid(
-    cfg: SystemConfig, bob: Callable[[float], float]
-) -> tuple[float, float, int]:
-    # Maximize the clamped secrecy rate max(bob(phi) - C2(phi), 0). The
-    # best of the 65 grid rates and its neighbours (halfway to 0 or 1 at an
-    # edge) bracket the peak, which golden section refines in phi. Returns
-    # (phi*, rate*, iterations); the best grid point when it beats the
-    # refinement, and with rate 0 and no iterations when no grid rate is
-    # positive (the rate can be identically zero below the critical SNR).
-    def rate(phi: float) -> float:
-        return max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
+@lru_cache(maxsize=16 * _EVE_GRID_CACHE_SIZE)
+def _dc2_at_end(na: int, ne: int, phi: float) -> float:
+    # dC2/dz at a bracket end: a grid point, or halfway past an edge of the grid.
+    return _dc2_nats_dz(na, ne, 1.0 / phi)
 
-    grid = _PHI_GRID
-    values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))]
+
+def _maximize_over_grid(
+    cfg: SystemConfig, bob: Callable[[float], float], bob_slope: Callable[[float], float]
+) -> tuple[float, float, int]:
+    # Maximize the clamped secrecy rate max(bob(phi) - C2(phi), 0), bob_slope
+    # being d bob/dz in nats. The best of the 65 grid rates and its neighbours
+    # (halfway to 0 or 1 at an edge) bracket the root of dR/dz. Returns (phi*,
+    # rate*, root steps); the best grid point when it beats the root, and rate
+    # 0 with no steps when no grid rate is positive (as below the critical SNR).
+    na, ne, grid = cfg.na, cfg.ne, _PHI_GRID
+    values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(na, ne))]
     if logger.isEnabledFor(logging.DEBUG):
         for phi, val in zip(grid, values):
             logger.debug("phi=%.6f rate=%.12g", phi, val)
     best = max(range(_PHI_GRID_N), key=values.__getitem__)
     if values[best] <= 0.0:
         return grid[best], 0.0, 0
+
+    def slope(phi: float) -> float:
+        return bob_slope(1.0 / phi) - _dc2_nats_dz(na, ne, 1.0 / phi)
+
     lo = grid[best - 1] if best > 0 else grid[0] / 2.0
     hi = grid[best + 1] if best < _PHI_GRID_N - 1 else (grid[-1] + 1.0) / 2.0
-    phi_star, r_star, iterations = _golden_max(rate, lo, hi, _PHI_TOL)
-    if values[best] > r_star:
-        return grid[best], values[best], iterations
-    return phi_star, r_star, iterations
+    f_lo, f_hi = (bob_slope(1.0 / end) - _dc2_at_end(na, ne, end) for end in (lo, hi))
+    if f_lo * f_hi > 0.0:  # no sign change: the rate rises toward one end
+        phi, steps = (lo if f_lo > 0.0 else hi), 0
+    else:
+        phi, steps = _zeroin(slope, lo, hi, f_lo, f_hi, _PHI_TOL)
+    rate = max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
+    if values[best] > rate:
+        return grid[best], values[best], steps
+    return phi, rate, steps
 
 
 def optimize_phi(
@@ -157,16 +182,20 @@ def optimize_phi(
     """Best fixed power split: maximize the secrecy rate over phi in (0, 1).
 
     A 65-point grid brackets the maximum (the rate is unimodal in phi but
-    can be identically zero below the critical SNR), then golden-section
-    refines to |delta phi| < 1e-6. With an all-zero grid the best grid
-    point is returned with converged=False. When the "ansec" logger is
-    enabled for DEBUG, each grid point is logged as "phi=... rate=...".
+    can be identically zero below the critical SNR), then Brent's method
+    solves dR/dz = 0 from the closed-form slopes of both capacities;
+    iterations counts its steps. With an all-zero grid the best grid point
+    is returned with converged=False. When the "ansec" logger is enabled
+    for DEBUG, each grid point is logged as "phi=... rate=...".
     """
 
     def bob(phi: float) -> float:
         return capacity_bob(cfg, p, PowerSplit(phi), err)
 
-    phi_star, c_star, iterations = _maximize_over_grid(cfg, bob)
+    def bob_slope(z: float) -> float:
+        return _dc1_nats_dz(cfg.na, p, z, err)
+
+    phi_star, c_star, iterations = _maximize_over_grid(cfg, bob, bob_slope)
     return OptResult(phi_star, 1.0 / phi_star, c_star, iterations, c_star > 0.0)
 
 
@@ -183,10 +212,15 @@ def _laguerre_rule(order: int, alpha: int) -> tuple[tuple[float, ...], tuple[flo
 
 def _best_rate_at_gain(cfg: SystemConfig, p: float, gain: float) -> float:
     # Largest clamped instantaneous secrecy rate for a known beamforming gain.
-    def bob(phi: float) -> float:
-        return math.log1p(p * gain / (1.0 / phi)) / LN2
+    t = p * gain
 
-    return _maximize_over_grid(cfg, bob)[1]
+    def bob(phi: float) -> float:
+        return math.log1p(t / (1.0 / phi)) / LN2
+
+    def bob_slope(z: float) -> float:
+        return -t / (z * (z + t))
+
+    return _maximize_over_grid(cfg, bob, bob_slope)[1]
 
 
 def optimize_phi_adaptive(
@@ -197,11 +231,13 @@ def optimize_phi_adaptive(
     The transmitter knows its beamforming gain |h|^2 per realization and
     picks the rate-maximizing split for that draw; the eavesdropper term
     still only depends on the split. The outer expectation over the
-    Gamma(na, 1)-distributed gain uses a normalized Gauss-Laguerre rule;
-    the inner maximization is solved to 1e-6 in phi at every node. Never
-    below the fixed-split optimum, and noticeably above it only near the
-    critical SNR: less than about 3 dB above the equal-split threshold.
-    Elsewhere the gain is small and shrinks as power or antennas grow.
+    Gamma(na, 1)-distributed gain uses a normalized Gauss-Laguerre rule.
+    At every node t = p |h|^2 the inner maximum is the root of
+    dR/dz = -t/(z(z+t)) - dC2/dz, found as in optimize_phi; all nodes share
+    one grid table of C2. Never below the fixed-split optimum, and
+    noticeably above it only near the critical SNR: less than about 3 dB
+    above the equal-split threshold. Elsewhere the gain is small and shrinks
+    as power or antennas grow.
     """
     if not _is_int(quadrature_order) or quadrature_order < 2:
         raise ValueError(
@@ -215,31 +251,13 @@ def optimize_phi_adaptive(
     )
 
 
-def _bisect_decreasing(
-    f: Callable[[float], float], lo: float, hi_start: float, hi_cap: float
-) -> float:
-    # Root of a sign-changing f with f(lo) > 0; hi is doubled until
-    # f(hi) <= 0, then plain bisection to ~1e-13 relative.
-    hi = hi_start
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > hi_cap:
-            raise RuntimeError(f"no sign change found below {hi_cap}")
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def high_snr_optimal_z(cfg: SystemConfig, regime: str) -> float:
     """Limit of the optimal noise weighting z = 1/phi as power grows.
 
     regime selects the model solved:
-      "exact-ne1"           stationarity of the exact single-eavesdropper
-                            rate; needs ne = 1.
+      "exact"               stationarity of the exact rate, where Bob's
+                            slope tends to -1/z; any ne.
+      "exact-ne1"           the same, restricted to ne = 1.
       "na2-closed"          the na = 2 case, where the limit is exactly 2.
       "large-na"            stationarity of the many-antenna limit
                             (depends only on ne).
@@ -254,21 +272,23 @@ def high_snr_optimal_z(cfg: SystemConfig, regime: str) -> float:
         return 2.0
     if regime == "large-na-asymptotic":
         return 1.0 + math.sqrt(cfg.ne)
-    if regime == "exact-ne1":
-        if cfg.ne != 1:
-            raise ValueError(f"the exact-ne1 regime needs ne=1, got ne={cfg.ne}")
+    if regime == "exact-ne1" and cfg.ne != 1:
+        raise ValueError(f"the exact-ne1 regime needs ne=1, got ne={cfg.ne}")
 
-        def f(z: float) -> float:
-            return -1.0 / z - _dc2_nats_dz(cfg.na, z)
+    def f(z: float) -> float:
+        if regime == "large-na":
+            return -1.0 / z - scaled_expint_en(cfg.ne, z - 1.0) + 1.0 / (z - 1.0)
+        return -1.0 / z - _dc2_nats_dz(cfg.na, cfg.ne, z)
 
-        return _bisect_decreasing(f, 1.0 + 1e-9, 2.0, 1e6)
-
-    from .specfun import scaled_expint_en
-
-    def g(z: float) -> float:
-        return -1.0 / z - scaled_expint_en(cfg.ne, z - 1.0) + 1.0 / (z - 1.0)
-
-    return _bisect_decreasing(g, 1.0 + 1e-9, 2.0, 1e6)
+    # f > 0 near z = 1; double the upper end until f changes sign
+    lo, hi = 1.0 + 1e-9, 2.0
+    f_lo, f_hi = f(lo), f(hi)
+    while f_hi > 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        if hi > 1e6:
+            raise RuntimeError("no sign change found below 1e6")
+        f_hi = f(hi)
+    return _zeroin(f, lo, hi, f_lo, f_hi, 0.0)[0]
 
 
 def critical_snr_exact(

@@ -134,10 +134,19 @@ def capacity_bob(
     """
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")
-    z = split.z
+    return specfun.scaled_expint_sum(cfg.na, _bob_arg(p, split.z, err)) / LN2
+
+
+def _bob_arg(p: float, z: float, err: Optional[CsiError]) -> float:
+    # Argument w = kappa z of Bob's exponential integrals, kappa = (1/p + s2)/(1 - s2).
     s2 = 0.0 if err is None else err.sigma_tilde2
-    w = (z / p + z * s2) / (1.0 - s2)
-    return specfun.scaled_expint_sum(cfg.na, w) / LN2
+    return (z / p + z * s2) / (1.0 - s2)
+
+
+def _dc1_nats_dz(na: int, p: float, z: float, err: Optional[CsiError]) -> float:
+    # dC1/dz in nats: E_k' = -E_{k-1} (A&S 5.1.26) telescopes Bob's sum to kappa
+    # (e^w E_na(w) - 1/w) = -na e^w E_{na+1}(w)/z (A&S 5.1.14), -> -1/z as p -> inf.
+    return -na * specfun.scaled_expint_en(na + 1, _bob_arg(p, z, err)) / z
 
 
 def ccdf_sir(x: float, cfg: SystemConfig) -> float:
@@ -159,28 +168,6 @@ def ccdf_sir(x: float, cfg: SystemConfig) -> float:
     return total
 
 
-def _eve_nats_single(na: int, z: float) -> float:
-    # Single eavesdropper, capacity in nats: S_a(u) = sum_{m>=0} u^m / (a + m)
-    # with a = na - 1 and u = (na - z)/a, so a u = na - z and a (1 - u) = z - 1.
-    return specfun._lerch_sum(na - 1, na - z, z - 1.0)
-
-
-def _dc2_nats_dz(na: int, z: float) -> float:
-    # d/dz of the single-eavesdropper capacity S above, in nats. It equals
-    # -2F1(2, a+1; a+2; u)/(a (a+1)) = -a 2F1(1, 2; na+1; w)/((a+1) (z-1)^2)
-    # with w = (z - na)/(z - 1) = u/(u - 1) (Pfaff, DLMF 15.8.1). That Gauss
-    # series slows as u -> 1, and for small na as u -> -inf; there the
-    # identity dS/dz = (S - 1/(z-1))/u, from u dS/du = 1/(1-u) - a S, takes
-    # over. Its cancellation costs up to about 3 na ulps near |u| = 1/2
-    # (6e-13 at na = 512), so at u < -1/2 it runs only below na = 16.
-    a = na - 1
-    u = (na - z) / a
-    if u > 0.5 or (u < -0.5 and na < 16):
-        return (_eve_nats_single(na, z) - 1.0 / (z - 1.0)) / u
-    w = (z - na) / (z - 1.0)
-    return -a * specfun._hyp2f1_1b_c(2, na + 1, w) / ((a + 1.0) * (z - 1.0) ** 2)
-
-
 def capacity_eve(cfg: SystemConfig, split: PowerSplit) -> float:
     """Eavesdroppers' ergodic capacity in bits/use; independent of total power.
 
@@ -189,28 +176,74 @@ def capacity_eve(cfg: SystemConfig, split: PowerSplit) -> float:
     ratio (na-1)/(z-1) carries the whole phi dependence. The capacity is
     a sum of ne hypergeometric terms, one per order statistic of the
     interference-whitened channel. For z <= 2 the orders k >= 1 follow from
-    the first by one upward recurrence; beyond, where that recurrence is
-    unstable, each takes its own series. A degenerate split with z <= 1
+    the first by one upward recurrence, and for z - 1 >= (na-1)(na-2)/2 by
+    the same recurrence run downward; in between, where neither is stable,
+    each takes its own series. A degenerate split with z <= 1
     yields inf rather than an error, so optimizers may probe the boundary.
     """
     z = split.z
     if z <= 1.0:
         return math.inf
-    # Term k, in nats, is a/((z-1)(a-k)) 2F1(1, k+1; na; x) with a = na - 1
-    # (weight C(a, k) B(k+1, a-k) = 1/(a-k); SystemConfig checked na, ne);
-    # the k = 0 term is the single-eavesdropper sum. A contiguous relation in b
-    # (DLMF 15.5) gives term_k = a/(k(a-k)) - (y/a)(a-k+1)/k term_{k-1} with
-    # y = z - 1, whose error factor stays below 1 while y <= 1.
-    a, y = cfg.na - 1, z - 1.0
-    term = total = _eve_nats_single(cfg.na, z)
-    x = (z - cfg.na) / y
-    for k in range(1, cfg.ne):
-        if y <= 1.0:
-            term = a / (k * (a - k)) - y / a * (a - k + 1) / k * term
-        else:
-            term = a / y / (a - k) * specfun._hyp2f1_1b_c(k + 1, cfg.na, x)
+    total = 0.0
+    for term in _eve_terms(cfg.na, cfg.ne, z):
         total += term
     return total / LN2
+
+
+def _eve_terms(na: int, n: int, z: float) -> list[float]:
+    # The first n <= na - 1 C2 terms in nats: term k is a/((z-1)(a-k)) 2F1(1,
+    # k+1; na; x), a = na - 1 (weight C(a, k) B(k+1, a-k) = 1/(a-k)); term 0 is
+    # S_a(u) = sum_m u^m/(a+m) with a u = na - z and a (1 - u) = z - 1, the
+    # single-eavesdropper sum. A contiguous relation in b (DLMF 15.5) gives
+    # term_k = a/(k(a-k)) - (y/a)(a-k+1)/k term_{k-1}, y = z - 1, whose error
+    # factor stays below 1 upward while y <= 1, and downward from the bounded
+    # top term (c = b + 1) once 2y >= a(a-1); in between each order is a series.
+    a, y = na - 1, z - 1.0
+    terms = [specfun._lerch_sum(a, na - z, y)]
+    if y <= 1.0:
+        for k in range(1, n):
+            terms.append(a / (k * (a - k)) - y / a * (a - k + 1) / k * terms[-1])
+    elif 2.0 * y < a * (a - 1):
+        x = (z - na) / y
+        for k in range(1, n):
+            terms.append(a / y / (a - k) * specfun._hyp2f1_1b_c(k + 1, na, x))
+    elif n > 1:
+        down = [a * a / y * specfun._lerch_sum(a, a * (z - na) / y, a * a / y)]
+        for k in range(a - 1, 1, -1):
+            down.append((a / (k * (a - k)) - down[-1]) * k * a / (y * (a - k + 1)))
+        terms += down[::-1][: n - 1]
+    return terms
+
+
+def _dc2_nats_dz(na: int, ne: int, z: float) -> float:
+    # dC2/dz in nats. With F_b = 2F1(1, b; na; x), x(1-x) F_b' = (na-b) F_{b-1}
+    # + (b-na+x) F_b (DLMF 15.5) and dx/dz = a/y^2, the slopes of the ne terms
+    # telescope to a (1 - F_ne)/(y (z - na)), F_ne = y (na-ne) term_{ne-1}/a.
+    # Where F_ne is within about 1/16 of 1, 1 - F_ne is summed instead from
+    # like-signed terms: F_ne's series for x >= 0, and for x < 0 its Pfaff form
+    # (DLMF 15.8.1), sum_{m>=1} (1 - r_m) w^m, w = x/(x-1), r_m = (na-ne)_m/(na)_m.
+    a, y = na - 1, z - 1.0
+    f = y * (na - ne) / a * _eve_terms(na, ne, z)[-1]
+    if 16.0 * abs(1.0 - f) >= f:
+        return a * (1.0 - f) / (y * (z - na))
+    x = (z - na) / y
+    total, m = 0.0, 0
+    if x >= 0.0:  # (F_ne - 1)/x = sum_{m>=0} (ne)_{m+1}/(na)_{m+1} x^m
+        coef = ne / na
+        while coef > 1e-17 * (1.0 - x) * total:
+            total += coef
+            m += 1
+            coef *= (ne + m) / (na + m) * x
+        return -a / (y * y) * total
+    w = x / (x - 1.0)  # then w/(z - na) = -1/a
+    r, one_minus_r, power = 1.0, 0.0, 1.0
+    while power > 1e-17 * (1.0 - w) * total:  # 1 - r_m < 1 bounds the tail
+        one_minus_r += r * ne / (na + m)
+        r *= (na - ne + m) / (na + m)
+        total += one_minus_r * power
+        power *= w
+        m += 1
+    return -total / a
 
 
 def secrecy_rate(

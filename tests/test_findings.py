@@ -2,13 +2,13 @@
 
 Each test checks one claim of the source paper's abstract on a fixed grid
 of antenna counts and SNRs, prints one `[criterion 10] PASS/FAIL` line
-(visible under `pytest -s`) with its elapsed time, then asserts. The four
+(visible under `pytest -s`) with its elapsed time, then asserts. The
 claims share a runtime budget of 3 s. A claim that fails on its grid is a
 finding about the model: record it, and do not shrink the grid.
 """
 import time
 
-from ansec.optimize import critical_snr, from_db, optimize_phi
+from ansec.optimize import critical_snr, from_db, high_snr_optimal_z, optimize_phi
 from ansec.secrecy import CsiError, PowerSplit, SystemConfig, secrecy_rate
 
 NA_GRID = (4, 8, 16, 32)
@@ -46,6 +46,24 @@ def test_more_collusion_more_noise():
     report("more collusion, more noise", not bad, elapsed,
            f"phi* falls with ne in {steps - len(bad)}/{steps} steps")
     assert steps == 66
+    assert not bad, bad
+
+
+def test_more_collusion_more_noise_at_high_snr():
+    # the same claim as p -> inf: the stationary z* = 1/phi* of the exact
+    # rate rises strictly with ne
+    t0 = time.perf_counter()
+    steps, bad = 0, []
+    for na in NA_GRID:
+        phis = [1.0 / high_snr_optimal_z(SystemConfig(na, ne), "exact")
+                for ne in range(1, min(na, 9))]
+        n, violations = falling_steps(phis)
+        steps += n
+        bad += [(na, v) for v in violations]
+    elapsed = time.perf_counter() - t0
+    report("more collusion, more noise at p = inf", not bad, elapsed,
+           f"z* rises with ne in {steps - len(bad)}/{steps} steps")
+    assert steps == 22
     assert not bad, bad
 
 

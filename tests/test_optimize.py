@@ -1,5 +1,10 @@
 """Power-split optimization, high-SNR roots, and critical-SNR solvers."""
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -8,6 +13,7 @@ import ansec.optimize
 from ansec.optimize import (
     _PHI_GRID,
     _eve_on_grid,
+    _laguerre_rule,
     CriticalSnr,
     OptResult,
     critical_snr,
@@ -20,9 +26,11 @@ from ansec.optimize import (
     to_db,
 )
 from ansec.secrecy import (
+    LN2,
     CsiError,
     PowerSplit,
     SystemConfig,
+    capacity_bob,
     capacity_eve,
     secrecy_rate,
 )
@@ -165,9 +173,10 @@ class TestEveGridTable:
         _eve_on_grid.cache_clear()
         monkeypatch.setattr(ansec.optimize, "capacity_eve", counting)
         optimize_phi_adaptive(SystemConfig(2), from_db(6.3))
-        # one 65-point table plus golden probes; rebuilding the table at
-        # each of the 64 Laguerre nodes costs about 5.9k calls
-        assert calls < 2500
+        # one 65-point table plus the rate at each node's root; rebuilding the
+        # table at each of the 64 Laguerre nodes costs about 4.2k calls, and
+        # golden section on rate values took about 1.5k
+        assert calls <= 65 + 64
 
     # The same 64-node Laguerre rule with every inner maximum found by a
     # 400-point log grid in z plus golden section to 1e-11, on C2 from
@@ -195,6 +204,76 @@ class TestEveGridTable:
         assert optimize_phi_adaptive(SystemConfig(na, ne), from_db(p_db)) == got
         assert abs(got - self.ADAPTIVE_ORACLE[na, ne, p_db]) <= 1e-10
         assert abs(got - earlier) <= 1e-10
+
+    @pytest.mark.parametrize("na,ne,p_db", sorted(ADAPTIVE_ORACLE))
+    def test_adaptive_values_against_oracle(self, na, ne, p_db):
+        # each node is solved to its stationary point, so the quadrature sum
+        # meets the oracle to a few ulps (golden section left 4.4e-14 here)
+        got = optimize_phi_adaptive(SystemConfig(na, ne), from_db(p_db))
+        assert abs(got - self.ADAPTIVE_ORACLE[na, ne, p_db]) <= 1e-13
+
+
+# The split search before the stationarity root: golden section on rate
+# values to |delta phi| < 1e-6, between the same grid neighbours.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def golden_max(f, lo, hi, tol=1e-6):
+    a, b = lo, hi
+    c = a + _INVPHI2 * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = a + _INVPHI2 * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def golden_reference(cfg, bob):
+    # (phi*, rate*) of the clamped rate, as optimize_phi found them before
+    def rate(phi):
+        return max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
+
+    grid, n = _PHI_GRID, len(_PHI_GRID)
+    values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))]
+    best = max(range(n), key=values.__getitem__)
+    if values[best] <= 0.0:
+        return grid[best], 0.0
+    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
+    hi = grid[best + 1] if best < n - 1 else (grid[-1] + 1.0) / 2.0
+    phi, r = golden_max(rate, lo, hi)
+    return (grid[best], values[best]) if values[best] > r else (phi, r)
+
+
+class TestAgainstGoldenSection:
+    def test_random_cells(self):
+        # every eighth cell draws any ne < na; the rest keep ne <= 6,
+        # where C2 is cheap (above z = 2 each order is its own series)
+        rng = random.Random(13)
+        for i in range(200):
+            na = rng.randint(2, 64)
+            ne = rng.randint(1, na - 1 if i % 8 == 0 else min(na - 1, 6))
+            cfg, p = SystemConfig(na, ne), from_db(rng.uniform(-5.0, 35.0))
+            err = CsiError(rng.uniform(0.01, 0.3)) if i % 3 == 0 else None
+            res = optimize_phi(cfg, p, err)
+            phi, c = golden_reference(cfg, lambda f: capacity_bob(cfg, p, PowerSplit(f), err))
+            assert res.c_star >= c - 1e-12, (cfg, p, err)
+            if c > 0.0:
+                assert abs(res.phi_star - phi) <= 1e-6, (cfg, p, err)
+            if i % 10 == 0:
+                # every node of a 16-point adaptive rule
+                for g in _laguerre_rule(16, na - 1)[0]:
+                    got = ansec.optimize._best_rate_at_gain(cfg, p, g)
+                    want = golden_reference(cfg, lambda f: math.log1p(p * g * f) / LN2)[1]
+                    assert got >= want - 1e-12, (cfg, p, g)
 
 
 class TestHighSnrRoots:
@@ -245,6 +324,28 @@ class TestHighSnrRoots:
         best = secrecy_rate(cfg, p, PowerSplit.from_z(z)).c
         for dz in (-0.01, 0.01):
             assert best >= secrecy_rate(cfg, p, PowerSplit.from_z(z + dz)).c - 1e-9
+
+    @pytest.mark.parametrize("na", [2, 3, 8, 64])
+    def test_exact_regime_at_one_eavesdropper(self, na):
+        cfg = SystemConfig(na=na)
+        got = high_snr_optimal_z(cfg, "exact")
+        assert abs(got - high_snr_optimal_z(cfg, "exact-ne1")) <= 1e-12 * got
+
+    @pytest.mark.parametrize(
+        "na,ne,want",
+        [
+            # mpmath findroot at 30 digits of -1/z - dC2/dz, with each term's
+            # slope from the hyp2f1 derivative
+            (8, 2, 2.368029100125879763),
+            (64, 2, 2.244552166837076796),
+            (8, 4, 3.505002589963774511),
+            (16, 4, 3.080092335248358017),
+            (64, 4, 2.891070851903194894),
+        ],
+    )
+    def test_exact_regime_against_mpmath(self, na, ne, want):
+        got = high_snr_optimal_z(SystemConfig(na=na, ne=ne), "exact")
+        assert abs(got - want) <= 1e-12 * want
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):
@@ -366,6 +467,24 @@ class TestCriticalSnr:
     def test_result_invariant_validation(self):
         with pytest.raises(ValueError):
             CriticalSnr(p_c_bound=1.0, p_c_exact=2.0)
+
+
+class TestImportCost:
+    def test_no_scipy_on_import_and_no_scipy_optimize(self):
+        # scipy.optimize would add about 24 MB of memory and 0.4 s of import
+        # to every run; only the Laguerre rule loads scipy.special, on use
+        tree = str(Path(ansec.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [tree, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, ansec\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy'\n"
+            "ansec.optimize_phi_adaptive(ansec.SystemConfig(4, 2), 10.0, quadrature_order=8)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOptResult:

@@ -14,8 +14,8 @@ from ansec.secrecy import (
     CsiError,
     PowerSplit,
     SystemConfig,
+    _dc1_nats_dz,
     _dc2_nats_dz,
-    _eve_nats_single,
     capacity_bob,
     capacity_eve,
     ccdf_sir,
@@ -194,6 +194,12 @@ class TestCcdfSir:
             ccdf_sir(-0.5, SystemConfig(na=4, ne=2))
 
 
+def _eve_nats_single(na: int, z: float) -> float:
+    # the single-eavesdropper C2 in nats, S_a(u) = sum_m u^m/(a + m) with
+    # a = na - 1 and u = (na - z)/a, as capacity_eve's first term forms it
+    return ansec.specfun._lerch_sum(na - 1, na - z, z - 1.0)
+
+
 def lerch_oracle(na: int, z: float) -> mpmath.mpf:
     # sum_m u^m / (na - 1 + m) at 30 digits, with u formed exactly from z
     with mpmath.workdps(30):
@@ -330,6 +336,21 @@ class TestEveOrdersOracle:
                     got = capacity_eve(SystemConfig(na, ne), split)
                     assert oracle_rel_err(got, want) <= self.TOL, (na, ne, y)
 
+    @pytest.mark.parametrize("na", [3, 4, 8, 16, 64, 128])
+    def test_every_order_far_out_against_mpmath(self, na):
+        # from z - 1 = (na-1)(na-2)/2 on, the orders come from the recurrence
+        # run downward; z = 1e6 took millions of Gauss terms per order before
+        a = na - 1
+        y0 = a * (a - 1) / 2.0
+        for z in (1.0 + math.nextafter(y0, 0.0), 1.0 + y0, 1e6):
+            split = PowerSplit.from_z(z)
+            terms = eve_terms_oracle(na, split.z)
+            with mpmath.workdps(30):
+                for ne in range(1, na):
+                    want = mpmath.fsum(terms[:ne]) / mpmath.log(2)
+                    got = capacity_eve(SystemConfig(na, ne), split)
+                    assert oracle_rel_err(got, want) <= self.TOL, (na, ne, z)
+
     def test_both_sides_of_the_recurrence_switch(self):
         at, above = PowerSplit.from_z(2.0), PowerSplit.from_z(math.nextafter(2.0, math.inf))
         assert at.z == 2.0 < above.z
@@ -386,6 +407,11 @@ class TestEveSingleOracle:
             z = 1.0 + y
             assert oracle_rel_err(_eve_nats_single(na, z), lerch_oracle(na, z)) <= 2e-15, (na, y)
 
+    def test_tabled_digamma_below_the_switch(self):
+        # below a = 20, ln a - psi(a) is a tabled constant; forming it as
+        # ln a - H_{a-1} cost 2.4e-15 here
+        assert oracle_rel_err(_eve_nats_single(19, 2.2), lerch_oracle(19, 2.2)) <= 1e-15
+
     @settings(max_examples=20)
     @given(na=st.integers(2, 256), u=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
     def test_near_one_against_lerch_phi(self, na, u):
@@ -437,9 +463,10 @@ def dc2_oracle(na: int, z: float) -> mpmath.mpf:
 
 
 class TestDc2Oracle:
-    # dC2/dz differentiates the C2 kernel through (S - 1/(z-1))/u for
-    # u > 1/2, and for u < -1/2 below na = 16; elsewhere it takes the Pfaff
-    # form's Gauss series. |u| = 0.99 was the switch of an earlier version.
+    # At ne = 1 the general slope is (S - 1/(z-1))/u, S the C2 kernel, except
+    # where S (z-1) is within about 1/16 of 1: there a series of like-signed
+    # terms sums the difference. An earlier version switched at |u| = 1/2 and
+    # |u| = 0.99, and lost 2.8e-13 at (na 512, u = 0.61).
     TOL = 5e-13
     NAS = [2, 3, 15, 16, 17, 64, 256, 512]
 
@@ -449,7 +476,7 @@ class TestDc2Oracle:
         for z0 in (na - 0.5 * a, na + 0.5 * a, na - 0.99 * a, na + 0.99 * a):
             want = dc2_oracle(na, z0)
             sides = [math.nextafter(z0, 0.0), z0, math.nextafter(z0, math.inf)]
-            vals = [_dc2_nats_dz(na, z) for z in sides]
+            vals = [_dc2_nats_dz(na, 1, z) for z in sides]
             for z, got in zip(sides, vals):
                 assert oracle_rel_err(got, want) <= self.TOL, (na, z)
             assert rel_err(vals[0], vals[2]) <= self.TOL, (na, z0)
@@ -457,16 +484,73 @@ class TestDc2Oracle:
     @pytest.mark.parametrize("na", NAS)
     def test_across_u_against_hyp2f1(self, na):
         rng = random.Random(na)
-        for u in [rng.uniform(-3.0, 1.0) for _ in range(12)]:
+        us = [rng.uniform(-3.0, 1.0) for _ in range(12)] + ([0.61] if na == 512 else [])
+        for u in us:
             z = na - u * (na - 1)
-            assert oracle_rel_err(_dc2_nats_dz(na, z), dc2_oracle(na, z)) <= self.TOL, (na, z)
+            got = _dc2_nats_dz(na, 1, z)
+            assert oracle_rel_err(got, dc2_oracle(na, z)) <= self.TOL, (na, z)
 
     def test_hitting_the_cap_raises(self, monkeypatch):
-        # the Gauss series; the identity runs on the C2 kernel, whose caps
-        # TestEveSingleOracle checks
+        # the slope runs on C2's own orders, so their Gauss series' cap holds
+        # (the ne = 1 kernel's caps are TestEveSingleOracle's)
         monkeypatch.setattr(ansec.specfun, "_HYP_MAX_TERMS", 3)
         with pytest.raises(RuntimeError, match="failed to converge"):
-            _dc2_nats_dz(64, 40.0)
+            _dc2_nats_dz(64, 2, 40.0)
+
+
+def dc2_every_ne_oracle(na: int, z: float) -> list:
+    # dC2/dz in nats for ne = 1..na-1 at 30 digits, term by term from
+    # d/dx 2F1(1, b; na; x) = (b/na) 2F1(2, b+1; na+1; x)
+    with mpmath.workdps(30):
+        zm = mpmath.mpf(z)
+        a, y = na - 1, zm - 1
+        x = (zm - na) / y
+        out, total = [], mpmath.mpf(0)
+        for k in range(a):
+            term = a / (y * (a - k)) * mpmath.hyp2f1(1, k + 1, na, x)
+            dfdx = mpmath.mpf(k + 1) / na * mpmath.hyp2f1(2, k + 2, na + 1, x)
+            total += -term / y + a * a / ((a - k) * y ** 3) * dfdx
+            out.append(total)
+        return out
+
+
+def dc1_oracle(na: int, p: float, z: float, s2: float) -> mpmath.mpf:
+    # dC1/dz in nats at 30 digits: C1 = int_0^inf e^{-ws} (1 - (1+s)^{-na}) ds/s
+    # with w = kappa z, so dC1/dz = -kappa int_0^inf e^{-ws} (1 - (1+s)^{-na}) ds
+    with mpmath.workdps(30):
+        kappa = (1 / mpmath.mpf(p) + s2) / (1 - mpmath.mpf(s2))
+        w = kappa * z
+        pts = sorted({mpmath.mpf(0), mpmath.mpf(1) / na, 1 / w, 10 / w, 50 / w})
+        return -kappa * mpmath.quad(
+            lambda s: -mpmath.exp(-w * s) * mpmath.expm1(-na * mpmath.log1p(s)), pts + [mpmath.inf]
+        )
+
+
+class TestSlopeOracle:
+    # The closed-form slopes the split solvers find the root of
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("na", [2, 3, 4, 8, 16, 64])
+    def test_dc2_every_ne_against_mpmath(self, na):
+        # near z = na (the telescoped slope divides by z - na), one ulp either
+        # side of z = 2 (C2's recurrence switch), near z = 1, and far out
+        rng = random.Random(na)
+        zs = [na - 1e-9, na + 1e-9, math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0),
+              1.0 + 1e-9, 1e6, 1.0 + 10.0 ** rng.uniform(-6.0, 3.0)]
+        for z in zs:
+            want = dc2_every_ne_oracle(na, z)
+            for ne in range(1, na):
+                got = _dc2_nats_dz(na, ne, z)
+                assert oracle_rel_err(got, want[ne - 1]) <= self.TOL, (na, ne, z)
+
+    @pytest.mark.parametrize("na", [2, 3, 8, 64, 256])
+    def test_dc1_against_mpmath(self, na):
+        # w = kappa z from about 1e-9 (the e^w E_na term alone) to 1e9
+        # (where kappa (e^w E_na(w) - 1/w) cancels by w/na)
+        for p, s2, z in [(1e9, 0.0, 1.0 + 1e-9), (1e9, 0.1, 1e6), (1e4, 0.0, 1.8),
+                         (10.0, 0.0, 2.0), (0.5, 0.1, 30.0), (1e-3, 0.0, 1e6)]:
+            got = _dc1_nats_dz(na, p, z, CsiError(s2) if s2 else None)
+            assert oracle_rel_err(got, dc1_oracle(na, p, z, s2)) <= self.TOL, (na, p, s2, z)
 
 
 class TestSecrecyRate:
