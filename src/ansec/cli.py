@@ -78,6 +78,8 @@ class RunSpec:
             raise ValueError("--snr-db produced an empty range")
         if any(not math.isfinite(s) for s in self.snr_db):
             raise ValueError("--snr-db values must be finite")
+        if self.command in ("rate", "validate") and len(self.snr_db) > 1:
+            raise ValueError(f"{self.command} takes a single --snr-db; use sweep for ranges")
         if self.phi != "opt":
             PowerSplit(self.phi)
         if not _is_int(self.samples) or self.samples < 2:
@@ -193,12 +195,6 @@ def _sweep_rows(spec: RunSpec) -> _Rows:
     return header, rows, True
 
 
-def _rate_rows(spec: RunSpec) -> _Rows:
-    if len(spec.snr_db) > 1:
-        raise ValueError("rate takes a single --snr-db; use sweep for ranges")
-    return _sweep_rows(spec)
-
-
 def _opt_phi_rows(spec: RunSpec) -> _Rows:
     header = ["na", "ne", "snr_db", "sigma_tilde2", "phi_star", "z_star",
               "c_star", "iterations", "converged"]
@@ -279,7 +275,7 @@ def _validate_rows(spec: RunSpec) -> _Rows:
 # Each subcommand: its help line, and the function that computes its CSV
 # header, its rows, and whether the run passed (only validate can fail).
 _COMMANDS: dict[str, tuple[str, Callable[[RunSpec], _Rows]]] = {
-    "rate": ("closed-form rate at one operating point", _rate_rows),
+    "rate": ("closed-form rate at one operating point", _sweep_rows),
     "sweep": ("closed-form rates over an SNR range", _sweep_rows),
     "opt-phi": ("best fixed power split per SNR", _opt_phi_rows),
     "opt-phi-adaptive": ("rate with a per-realization power split", _opt_phi_adaptive_rows),

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+import numpy as np
+
 from .secrecy import (
     LN2,
     CsiError,
@@ -201,13 +203,15 @@ def optimize_phi(
 
 @lru_cache(maxsize=32)
 def _laguerre_rule(order: int, alpha: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # Gauss-Laguerre nodes/weights for weight x^alpha e^-x, weights
-    # normalized to sum to one (the Gamma(alpha+1, 1) expectation).
-    from scipy.special import roots_genlaguerre
-
-    nodes, weights = roots_genlaguerre(order, alpha)
-    total = weights.sum()
-    return tuple(nodes.tolist()), tuple((weights / total).tolist())
+    # Gauss-Laguerre rule for weight x^alpha e^-x, weights summing to one (the
+    # Gamma(alpha+1, 1) expectation), by Golub-Welsch from the Jacobi matrix's
+    # eigenpairs; Gamma(alpha+1), infinite from alpha = 171 on, never appears.
+    k = np.arange(order)
+    jacobi = np.diag(2.0 * k + alpha + 1.0)
+    jacobi[k[1:], k[:-1]] = np.sqrt(k[1:] * (k[1:] + alpha))
+    nodes, vectors = np.linalg.eigh(jacobi)  # reads the lower triangle only
+    weights = vectors[0] ** 2
+    return tuple(nodes.tolist()), tuple((weights / weights.sum()).tolist())
 
 
 def _best_rate_at_gain(cfg: SystemConfig, p: float, gain: float) -> float:
@@ -239,9 +243,9 @@ def optimize_phi_adaptive(
     above the equal-split threshold. Elsewhere the gain is small and shrinks
     as power or antennas grow.
     """
-    if not _is_int(quadrature_order) or quadrature_order < 2:
-        raise ValueError(
-            f"quadrature_order must be an integer >= 2, got {quadrature_order!r}"
+    if not _is_int(quadrature_order) or not 2 <= quadrature_order <= 1024:
+        raise ValueError(  # the rule's dense eigenproblem costs order^2 doubles
+            f"quadrature_order must be an integer in [2, 1024], got {quadrature_order!r}"
         )
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")

@@ -175,10 +175,9 @@ def capacity_eve(cfg: SystemConfig, split: PowerSplit) -> float:
     noise power) * X with X a fixed channel statistic, and the power
     ratio (na-1)/(z-1) carries the whole phi dependence. The capacity is
     a sum of ne hypergeometric terms, one per order statistic of the
-    interference-whitened channel. For z <= 2 the orders k >= 1 follow from
-    the first by one upward recurrence, and for z - 1 >= (na-1)(na-2)/2 by
-    the same recurrence run downward; in between, where neither is stable,
-    each takes its own series. A degenerate split with z <= 1
+    interference-whitened channel. One order is evaluated and the others
+    follow from a contiguous relation, run upward and downward from it so
+    that each direction damps rounding error. A degenerate split with z <= 1
     yields inf rather than an error, so optimizers may probe the boundary.
     """
     z = split.z
@@ -195,24 +194,25 @@ def _eve_terms(na: int, n: int, z: float) -> list[float]:
     # k+1; na; x), a = na - 1 (weight C(a, k) B(k+1, a-k) = 1/(a-k)); term 0 is
     # S_a(u) = sum_m u^m/(a+m) with a u = na - z and a (1 - u) = z - 1, the
     # single-eavesdropper sum. A contiguous relation in b (DLMF 15.5) gives
-    # term_k = a/(k(a-k)) - (y/a)(a-k+1)/k term_{k-1}, y = z - 1, whose error
-    # factor stays below 1 upward while y <= 1, and downward from the bounded
-    # top term (c = b + 1) once 2y >= a(a-1); in between each order is a series.
+    # term_k = a/(k(a-k)) - r_k term_{k-1}, r_k = (y/a)(a-k+1)/k, y = z - 1,
+    # and r_k falls through 1 at k* = (a+1)/(1 + a/y): order s just below k*
+    # (0: S_a; a - 1: the bounded top term, c = b + 1; else one series) seeds
+    # the relation both ways, each damping its error; y divides last, so no
+    # step overflows up to z = 1e308.
     a, y = na - 1, z - 1.0
-    terms = [specfun._lerch_sum(a, na - z, y)]
-    if y <= 1.0:
-        for k in range(1, n):
-            terms.append(a / (k * (a - k)) - y / a * (a - k + 1) / k * terms[-1])
-    elif 2.0 * y < a * (a - 1):
-        x = (z - na) / y
-        for k in range(1, n):
-            terms.append(a / y / (a - k) * specfun._hyp2f1_1b_c(k + 1, na, x))
-    elif n > 1:
-        down = [a * a / y * specfun._lerch_sum(a, a * (z - na) / y, a * a / y)]
-        for k in range(a - 1, 1, -1):
-            down.append((a / (k * (a - k)) - down[-1]) * k * a / (y * (a - k + 1)))
-        terms += down[::-1][: n - 1]
-    return terms
+    s = 0 if n == 1 else min(a - 1, math.ceil((a + 1) / (1.0 + a / y)) - 1)
+    if s == 0:
+        terms = [specfun._lerch_sum(a, na - z, y)]
+    elif s == a - 1:
+        terms = [a * a / y * specfun._lerch_sum(a, a * (z - na) / y, a * a / y)]
+    else:
+        terms = [a / y / (a - s) * specfun._hyp2f1_1b_c(s + 1, na, (z - na) / y)]
+    for k in range(s, 0, -1):
+        terms.append((a / (k * (a - k)) - terms[-1]) * (k * a / (a - k + 1)) / y)
+    terms.reverse()
+    for k in range(s + 1, n):
+        terms.append(a / (k * (a - k)) - y / a * (a - k + 1) / k * terms[-1])
+    return terms[:n] if s >= n else terms
 
 
 def _dc2_nats_dz(na: int, ne: int, z: float) -> float:

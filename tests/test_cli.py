@@ -198,6 +198,19 @@ class TestOptPhiCommands:
         assert rec["quad_order"] == 32
         assert rec["c_adaptive"] > 0.5
 
+    def test_adaptive_past_the_gamma_overflow(self, tmp_path):
+        # na = 200: Gamma(na) overflows a double, which once made the
+        # Laguerre weights inf and the printed rate nan
+        argv = ["--na", "200", "--ne", "1", "--snr-db", "20"]
+        code, out = run_to_file(tmp_path, "adaptive.csv", ["opt-phi-adaptive", *argv])
+        assert code == 0
+        (adaptive,) = read_run_csv(str(out))
+        code, out = run_to_file(tmp_path, "fixed.csv", ["opt-phi", *argv])
+        assert code == 0
+        (fixed,) = read_run_csv(str(out))
+        assert math.isfinite(adaptive["c_adaptive"])
+        assert adaptive["c_adaptive"] >= fixed["c_star"] - 1e-12
+
     def test_adaptive_rejects_estimation_error(self, capsys):
         code = main(["opt-phi-adaptive", "--na", "4", "--snr-db", "10",
                      "--sigma-tilde2", "0.1"])
@@ -398,6 +411,9 @@ class TestExitCodes:
             ["rate", "--phi", "1.5"],
             ["rate", "--snr-db", "10:0:1"],
             ["rate", "--samples", "1"],
+            ["rate", "--snr-db", "0:20:10"],
+            ["validate", "--snr-db", "0:20:10"],
+            ["opt-phi-adaptive", "--quad-order", "1025"],
             ["sweep", "--snr-db", "0:inf:1"],
             ["sweep", "--snr-db", "0:1e300:1e-300"],
             ["sweep", "--snr-db", "0:1:nan"],

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from scipy import special
 
 import ansec.optimize
 from ansec.optimize import (
@@ -152,6 +153,28 @@ class TestAdaptiveSplit:
             optimize_phi_adaptive(SystemConfig(na=4), 10.0, quadrature_order=64.0)
         with pytest.raises(ValueError):
             optimize_phi_adaptive(SystemConfig(na=4), 10.0, quadrature_order=True)
+        with pytest.raises(ValueError, match=r"\[2, 1024\]"):
+            optimize_phi_adaptive(SystemConfig(na=4), 10.0, quadrature_order=1025)
+
+
+class TestLaguerreRule:
+    # Golub-Welsch on the Laguerre Jacobi matrix, normalized to the
+    # Gamma(alpha+1, 1) expectation; scipy's weights overflow from alpha = 171
+
+    @pytest.mark.parametrize("alpha", [0, 63, 171, 255])
+    def test_moments(self, alpha):
+        nodes, weights = _laguerre_rule(64, alpha)
+        for j in range(4):
+            want = math.prod(range(alpha + 1, alpha + 1 + j))  # (alpha+1)_j
+            got = math.fsum(w * g ** j for g, w in zip(nodes, weights))
+            assert rel_err(got, want) <= 1e-13, (alpha, j)
+
+    @pytest.mark.parametrize("order", [2, 16, 64])
+    def test_nodes_against_scipy(self, order):
+        for alpha in (0, 1, 7, 63, 170):
+            want = special.roots_genlaguerre(order, alpha)[0]
+            got = _laguerre_rule(order, alpha)[0]
+            assert max(rel_err(g, w) for g, w in zip(got, want)) <= 1e-13, alpha
 
 
 class TestEveGridTable:
@@ -255,8 +278,7 @@ def golden_reference(cfg, bob):
 
 class TestAgainstGoldenSection:
     def test_random_cells(self):
-        # every eighth cell draws any ne < na; the rest keep ne <= 6,
-        # where C2 is cheap (above z = 2 each order is its own series)
+        # every eighth cell draws any ne < na; the rest keep ne <= 6
         rng = random.Random(13)
         for i in range(200):
             na = rng.randint(2, 64)
@@ -471,16 +493,17 @@ class TestCriticalSnr:
 
 class TestImportCost:
     def test_no_scipy_on_import_and_no_scipy_optimize(self):
-        # scipy.optimize would add about 24 MB of memory and 0.4 s of import
-        # to every run; only the Laguerre rule loads scipy.special, on use
+        # scipy is a test dependency only: on top of numpy, scipy.special
+        # adds about 26 MB of memory and 0.3 s of import, so no scipy module
+        # may load, not even for the adaptive optimizer's Laguerre rule
         tree = str(Path(ansec.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [tree, os.environ.get("PYTHONPATH")]))
         code = (
             "import sys, ansec\n"
-            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy'\n"
+            "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not scipy(), scipy()\n"
             "ansec.optimize_phi_adaptive(ansec.SystemConfig(4, 2), 10.0, quadrature_order=8)\n"
-            "assert 'scipy.special' in sys.modules\n"
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
+            "assert not scipy(), scipy()\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path}, timeout=120)

@@ -309,18 +309,41 @@ class TestCapacityEve:
 def eve_terms_oracle(na: int, z: float) -> list:
     # the C2 terms in nats, a/((z-1)(a-k)) 2F1(1, k+1; na; x) for every
     # k < a = na - 1, at 30 digits and at the float z itself: rounding z
-    # moves C2 by about 1e-16/(z - 1) relative
+    # moves C2 by about 1e-16/(z - 1) relative. For -3 <= x < 0 the Pfaff
+    # form 2F1(1, na-k-1; na; u)/(a-k), u = x/(x-1) = (na-z)/a <= 3/4, is
+    # the same value, which mpmath finds up to 200 times faster there.
     with mpmath.workdps(30):
         zm = mpmath.mpf(z)
         a = na - 1
-        x = (zm - na) / (zm - 1)
+        x = 1 - a / (zm - 1)  # 1 - x = a/y
+        if -3 <= x < 0:
+            u = (na - zm) / a
+            return [mpmath.hyp2f1(1, na - k - 1, na, u) / (a - k) for k in range(a)]
         return [a / ((zm - 1) * (a - k)) * mpmath.hyp2f1(1, k + 1, na, x) for k in range(a)]
 
 
+def seed_switch(na: int, kstar: int) -> tuple:
+    # The adjacent floats z below and above which capacity_eve's seed order
+    # moves from kstar - 1 to kstar, found from the rule's own float k*
+    a = na - 1
+
+    def past(z: float) -> bool:
+        return (a + 1) / (1.0 + a / (z - 1.0)) > kstar
+
+    z = 1.0 + a / ((a + 1) / kstar - 1.0)
+    while past(z):
+        z = math.nextafter(z, 0.0)
+    while not past(math.nextafter(z, math.inf)):
+        z = math.nextafter(z, math.inf)
+    return z, math.nextafter(z, math.inf)
+
+
 class TestEveOrdersOracle:
-    # For z <= 2 the orders k >= 1 of C2 come from one upward recurrence
-    # seeded by the single-eavesdropper kernel; above z = 2 each order takes
-    # its own Pfaff/Gauss series.
+    # One order s of C2 is evaluated, just below the turning point k* of the
+    # recurrence's error factor, and the rest follow from the recurrence run
+    # upward and downward from it: s = 0 (the single-eavesdropper kernel)
+    # for z <= 2, s = na - 2 (the bounded top term) far out, and in between
+    # one Gauss series.
     TOL = 1e-14
 
     def test_every_order_near_one_against_mpmath(self):
@@ -338,8 +361,9 @@ class TestEveOrdersOracle:
 
     @pytest.mark.parametrize("na", [3, 4, 8, 16, 64, 128])
     def test_every_order_far_out_against_mpmath(self, na):
-        # from z - 1 = (na-1)(na-2)/2 on, the orders come from the recurrence
-        # run downward; z = 1e6 took millions of Gauss terms per order before
+        # past z - 1 = (na-1)(na-2)/2 the seed is the top order and the
+        # recurrence runs downward; a per-order Gauss series took millions of
+        # terms at z = 1e6
         a = na - 1
         y0 = a * (a - 1) / 2.0
         for z in (1.0 + math.nextafter(y0, 0.0), 1.0 + y0, 1e6):
@@ -355,8 +379,9 @@ class TestEveOrdersOracle:
         at, above = PowerSplit.from_z(2.0), PowerSplit.from_z(math.nextafter(2.0, math.inf))
         assert at.z == 2.0 < above.z
         for na in range(2, 65):
-            # above the switch each order is its own series: sum them once per
-            # na here, and tie the sums to capacity_eve at ne = 1 and na - 1
+            # just above z = 2 the seed leaves order 0; the reference sums each
+            # order's own series once per na, tied to capacity_eve at ne = 1
+            # and na - 1 above the switch and at every ne on it
             x = (above.z - na) / (above.z - 1.0)
             scale = (na - 1.0) / (above.z - 1.0)
             partial = [_eve_nats_single(na, above.z)]
@@ -369,6 +394,66 @@ class TestEveOrdersOracle:
             for ne in range(1, na):
                 got = capacity_eve(SystemConfig(na, ne), at)
                 assert rel_err(got, partial[ne - 1] / LN2) <= self.TOL, (na, ne)
+
+    @pytest.mark.parametrize("na", [3, 4, 8, 16, 64])
+    def test_both_sides_of_each_seed_switch(self, na):
+        # at each integer k* the seed moves by one order between two adjacent
+        # floats z; one oracle at the lower serves both, as one ulp of z
+        # moves C2 by at most about 2e-16 relative
+        for kstar in range(1, na):
+            below, above = seed_switch(na, kstar)
+            terms = eve_terms_oracle(na, below)
+            with mpmath.workdps(30):
+                for ne in range(1, na):
+                    want = mpmath.fsum(terms[:ne]) / mpmath.log(2)
+                    for z in (below, above):
+                        got = capacity_eve(SystemConfig(na, ne), PowerSplit.from_z(z))
+                        assert oracle_rel_err(got, want) <= self.TOL, (na, ne, z)
+
+    def test_seeded_between_the_kernels_against_mpmath(self):
+        # 1 < z - 1 < (na-1)(na-2)/2, where each order once took its own series
+        rng = random.Random(14)
+        for na in [4, 5] + [rng.randint(6, 32) for _ in range(3)] + [rng.randint(33, 256)]:
+            a = na - 1
+            y = math.exp(rng.uniform(0.0, math.log(a * (a - 1) / 2.0)))
+            split = PowerSplit.from_z(1.0 + y)
+            terms = eve_terms_oracle(na, split.z)
+            with mpmath.workdps(30):
+                for ne in range(1, na):
+                    want = mpmath.fsum(terms[:ne]) / mpmath.log(2)
+                    got = capacity_eve(SystemConfig(na, ne), split)
+                    assert oracle_rel_err(got, want) <= self.TOL, (na, ne, split.z)
+
+    @pytest.mark.parametrize("na", [4, 8])
+    @pytest.mark.parametrize("phi", [1e-300, 1e-308])
+    def test_vanishing_information_power(self, na, phi):
+        # z = 1/phi: 1 - x = a/y is below 1e-298, so at 30 digits x is 1 and the
+        # oracle's 2F1(1, k+1; na; 1) is Gauss's sum, off by O(a/y); it is
+        # finite for k < na - 2, the top order growing like ln(y/a). At 1e-308
+        # the downward steps must divide by y last, or y (a - k + 1) overflows
+        split = PowerSplit(phi)
+        terms = eve_terms_oracle(na, split.z)
+        with mpmath.workdps(30):
+            for ne in range(1, na - 1):
+                want = mpmath.fsum(terms[:ne]) / mpmath.log(2)
+                got = capacity_eve(SystemConfig(na, ne), split)
+                assert oracle_rel_err(got, want) <= self.TOL, (na, ne)
+
+    def test_one_kernel_call_per_evaluation(self, monkeypatch):
+        # every order comes from one seed: exactly one S_a(u) kernel or Gauss
+        # series per capacity_eve call (z = na is avoided: there x = 0 and the
+        # seed is exact without either)
+        calls = []
+        for name in ("_lerch_sum", "_gauss_series_1b_c"):
+            real = getattr(ansec.specfun, name)
+            monkeypatch.setattr(ansec.specfun, name,
+                                lambda *args, _real=real: calls.append(args) or _real(*args))
+        for na in (2, 3, 4, 8, 16, 64):
+            for z in (1.5, 3.0, na + 0.5, 10.0 * na, float(na * na), 1e6):
+                for ne in range(1, na):
+                    calls.clear()
+                    capacity_eve(SystemConfig(na, ne), PowerSplit.from_z(z))
+                    assert len(calls) == 1, (na, ne, z, calls)
 
 
 class TestEveSingleOracle:
@@ -533,7 +618,7 @@ class TestSlopeOracle:
     @pytest.mark.parametrize("na", [2, 3, 4, 8, 16, 64])
     def test_dc2_every_ne_against_mpmath(self, na):
         # near z = na (the telescoped slope divides by z - na), one ulp either
-        # side of z = 2 (C2's recurrence switch), near z = 1, and far out
+        # side of z = 2 (where C2's seed leaves order 0), near z = 1, and far out
         rng = random.Random(na)
         zs = [na - 1e-9, na + 1e-9, math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0),
               1.0 + 1e-9, 1e6, 1.0 + 10.0 ** rng.uniform(-6.0, 3.0)]
