@@ -65,11 +65,11 @@ class RunSpec:
         # and a --config value fail with the same message.
         if isinstance(self.snr_db, str):
             object.__setattr__(self, "snr_db", parse_snr_db(self.snr_db))
-        if isinstance(self.phi, str) and self.phi != "opt":
+        if self.phi != "opt":
             try:
-                object.__setattr__(self, "phi", float(self.phi))
+                object.__setattr__(self, "phi", PowerSplit(float(self.phi)).phi)
             except ValueError as exc:
-                raise ValueError(f"--phi must be a number or 'opt', got {self.phi!r}") from exc
+                raise ValueError(f"--phi takes 'opt' or a number: {exc}") from exc
         # The library types validate the fields they model and raise
         # ValueError, which the CLI reports as a usage error.
         SystemConfig(self.na, self.ne)
@@ -80,16 +80,12 @@ class RunSpec:
             raise ValueError("--snr-db values must be finite")
         if self.command in ("rate", "validate") and len(self.snr_db) > 1:
             raise ValueError(f"{self.command} takes a single --snr-db; use sweep for ranges")
-        if self.phi != "opt":
-            PowerSplit(self.phi)
         if not _is_int(self.samples) or self.samples < 2:
             raise ValueError(f"--samples must be an integer >= 2, got {self.samples!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"--seed must be a nonnegative integer, got {self.seed!r}")
         if not _is_int(self.quad_order) or self.quad_order < 2:
-            raise ValueError(
-                f"--quad-order must be an integer >= 2, got {self.quad_order!r}"
-            )
+            raise ValueError(f"--quad-order must be an integer >= 2, got {self.quad_order!r}")
 
     @property
     def system(self) -> SystemConfig:
@@ -170,15 +166,14 @@ def read_run_csv(path: str) -> list[dict[str, object]]:
 
 def _resolve_split(spec: RunSpec, p: float) -> PowerSplit:
     if spec.phi == "opt":
-        result = optimize_phi(spec.system, p, spec.csi_error)
-        return PowerSplit(result.phi_star)
-    return PowerSplit(float(spec.phi))
+        return PowerSplit(optimize_phi(spec.system, p, spec.csi_error).phi_star)
+    return PowerSplit(spec.phi)
 
 
 def _fixed_phi(spec: RunSpec) -> float:
     if isinstance(spec.phi, str):
         raise ValueError(f"the {spec.command} command needs a numeric --phi")
-    return float(spec.phi)
+    return spec.phi
 
 
 def _sweep_rows(spec: RunSpec) -> _Rows:

@@ -4,8 +4,8 @@ Nothing here reuses the analytic capacity expressions (the imperfect-CSI
 routine subtracts the closed eavesdropper term, which is exact): channels
 are drawn as iid circularly symmetric complex Gaussians, and the
 eavesdroppers' combined SIR is the MMSE quadratic form against their
-interference Gram matrix, which batched draws form as G G^H - g1 g1^H;
-the Householder null-space frame is built only for single draws.
+interference Gram matrix: batched draws form it as G G^H - g1 g1^H and
+solve it by an LDL^H sweep across the chunk, single draws by LU.
 Estimates stream through a merged-moments accumulator in fixed-size
 chunks with one spawned substream per chunk, so a given (seed,
 n_samples, configuration) reproduces bit-for-bit.
@@ -21,7 +21,7 @@ import numpy as np
 from .secrecy import LN2, CsiError, PowerSplit, SystemConfig, _is_int, capacity_eve
 
 COND_LIMIT = 1e12  # Gram matrices at or above this are discarded and redrawn
-_GUARD_SAFETY = 16.0  # margin of the trace bound below COND_LIMIT, see _sir_stat_batch
+_TRACE_LIMIT = 1e6  # tr(G) tr(G^-1) at which a row leaves the sweep for the exact rule
 _TARGET_CHUNK_ELEMENTS = 4_000_000
 
 
@@ -137,28 +137,29 @@ def _eve_mixed(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sir_stat_batch(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # MMSE form g1^H gram^{-1} g1 per row, with the mask of rows whose
-    # Gram passes the exact COND_LIMIT rule of _mmse_exact. One LU solve
-    # against [g1 | I] also yields diag(gram^{-1}). For Hermitian positive
-    # definite G, cond(G) <= tr(G) tr(G^{-1}) <= ne^2 cond(G), so a row
-    # whose bound clears COND_LIMIT by _GUARD_SAFETY is kept without an
-    # SVD. Moduli of the computed diagonal are summed: for a numerically
-    # singular Gram its entries carry the arbitrary phase of a roundoff
-    # pivot, and only the modulus stays large. Every other row, and a
-    # chunk whose solve meets an exactly zero pivot, gets the exact rule.
+    # MMSE form g1^H gram^{-1} g1 per row, with the mask of rows whose Gram
+    # passes the exact COND_LIMIT rule of _mmse_exact. An unpivoted LDL^H sweep
+    # of [gram | g1 | I], draws on the last axis, serves the whole chunk in each
+    # numpy call; below pivot j, row i takes columns i..ne+1+j (the Schur
+    # complement's upper triangle, g1, and L^{-1}). With pivots d and y = L^{-1}
+    # g1, x = sum |y_i|^2/d_i and tr(gram^{-1}) = sum_ij |L^{-1}_ij|^2/d_i. As
+    # cond(G) <= tr(G) tr(G^{-1}) for G Hermitian positive definite, rows with
+    # d > 0 and a bound below _TRACE_LIMIT are kept: there the sweep agrees with
+    # a pivoted LU to about 1e-11. All others (NaN too) get the exact rule.
     n, ne = g1.shape
-    rhs = np.empty((n, ne, ne + 1), dtype=complex)
-    rhs[:, :, 0] = g1
-    rhs[:, :, 1:] = np.eye(ne)
-    try:
-        sol = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        return _mmse_exact(g1, gram)
-    x = np.einsum("ne,ne->n", g1.conj(), sol[:, :, 0]).real
-    inv_diag = np.einsum("nii->ni", sol[:, :, 1:])
-    bound = np.einsum("nii->n", gram).real * np.abs(inv_diag).sum(axis=1)
-    # NaN and inf bounds compare False, so non-finite rows are flagged too.
-    good = (inv_diag.real > 0).all(axis=1) & (bound < COND_LIMIT / _GUARD_SAFETY)
+    w = np.empty((ne, 2 * ne + 1, n), dtype=complex)
+    w[:, :ne] = gram.transpose(1, 2, 0)
+    w[:, ne] = g1.T
+    w[:, ne + 1 :] = np.eye(ne)[:, :, None]
+    with np.errstate(all="ignore"):
+        for j in range(ne - 1):
+            inv = 1.0 / w[j, j]
+            for i in range(j + 1, ne):
+                w[i, i : ne + 2 + j] -= (w[j, i].conj() * inv) * w[j, i : ne + 2 + j]
+        d = w[range(ne), range(ne)].real
+        x = (np.abs(w[:, ne]) ** 2 / d).sum(axis=0)
+        inv_trace = sum((np.abs(w[i, ne + 1 :]) ** 2).sum(axis=0) / d[i] for i in range(ne))
+        good = (d > 0).all(axis=0) & (np.einsum("nii->n", gram).real * inv_trace < _TRACE_LIMIT)
     flagged = ~good
     if flagged.any():
         x[flagged], good[flagged] = _mmse_exact(g1[flagged], gram[flagged])

@@ -144,15 +144,17 @@ def _dc2_at_end(na: int, ne: int, phi: float) -> float:
 
 
 def _maximize_over_grid(
-    cfg: SystemConfig, bob: Callable[[float], float], bob_slope: Callable[[float], float]
+    cfg: SystemConfig, bob: Callable[[float], float], bob_slope: Callable[[float], float],
+    values: Optional[list[float]] = None,
 ) -> tuple[float, float, int]:
     # Maximize the clamped secrecy rate max(bob(phi) - C2(phi), 0), bob_slope
-    # being d bob/dz in nats. The best of the 65 grid rates and its neighbours
-    # (halfway to 0 or 1 at an edge) bracket the root of dR/dz. Returns (phi*,
-    # rate*, root steps); the best grid point when it beats the root, and rate
-    # 0 with no steps when no grid rate is positive (as below the critical SNR).
+    # being d bob/dz in nats. The best of the 65 grid rates (values, if given)
+    # and its neighbours (halfway to 0 or 1 at an edge) bracket the root of dR/dz.
+    # Returns (phi*, rate*, root steps); the best grid point when it beats the
+    # root, and rate 0 with no steps when no grid rate is positive.
     na, ne, grid = cfg.na, cfg.ne, _PHI_GRID
-    values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(na, ne))]
+    if values is None:
+        values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(na, ne))]
     if logger.isEnabledFor(logging.DEBUG):
         for phi, val in zip(grid, values):
             logger.debug("phi=%.6f rate=%.12g", phi, val)
@@ -214,7 +216,9 @@ def _laguerre_rule(order: int, alpha: int) -> tuple[tuple[float, ...], tuple[flo
     return tuple(nodes.tolist()), tuple((weights / weights.sum()).tolist())
 
 
-def _best_rate_at_gain(cfg: SystemConfig, p: float, gain: float) -> float:
+def _best_rate_at_gain(
+    cfg: SystemConfig, p: float, gain: float, values: Optional[list[float]] = None
+) -> float:
     # Largest clamped instantaneous secrecy rate for a known beamforming gain.
     t = p * gain
 
@@ -224,7 +228,7 @@ def _best_rate_at_gain(cfg: SystemConfig, p: float, gain: float) -> float:
     def bob_slope(z: float) -> float:
         return -t / (z * (z + t))
 
-    return _maximize_over_grid(cfg, bob, bob_slope)[1]
+    return _maximize_over_grid(cfg, bob, bob_slope, values)[1]
 
 
 def optimize_phi_adaptive(
@@ -250,9 +254,11 @@ def optimize_phi_adaptive(
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")
     nodes, weights = _laguerre_rule(quadrature_order, cfg.na - 1)
-    return math.fsum(
-        w * _best_rate_at_gain(cfg, p, g) for g, w in zip(nodes, weights)
-    )
+    # All nodes' grid rates at once; root rates keep math.log1p (np.log1p may differ)
+    bob = np.log1p(p * np.array(nodes)[:, None] / (1.0 / np.array(_PHI_GRID))) / LN2
+    rows = np.maximum(bob - np.array(_eve_on_grid(cfg.na, cfg.ne)), 0.0).tolist()
+    rates = (_best_rate_at_gain(cfg, p, g, row) for g, row in zip(nodes, rows))
+    return math.fsum(w * rate for w, rate in zip(weights, rates))
 
 
 def high_snr_optimal_z(cfg: SystemConfig, regime: str) -> float:

@@ -61,8 +61,8 @@ class PowerSplit:
     phi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError(f"phi must lie strictly inside (0, 1), got {self.phi!r}")
+        if not 0.0 < self.phi < 1.0 or math.isinf(1.0 / self.phi):
+            raise ValueError(f"phi must lie inside (0, 1) with z = 1/phi finite, got {self.phi!r}")
 
     @classmethod
     def from_z(cls, z: float) -> "PowerSplit":
@@ -96,9 +96,7 @@ class CsiError:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma_tilde2 < 1.0:
-            raise ValueError(
-                f"sigma_tilde2 must lie in [0, 1), got {self.sigma_tilde2!r}"
-            )
+            raise ValueError(f"sigma_tilde2 must lie in [0, 1), got {self.sigma_tilde2!r}")
 
     @property
     def sigma_hat2(self) -> float:

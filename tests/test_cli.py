@@ -423,6 +423,14 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err != ""
 
+    @pytest.mark.parametrize("phi", ["5e-324", "1e-310", "maybe", "1.5"])
+    def test_bad_phi_names_flag(self, phi, capsys):
+        # 5e-324 and 1e-310 lie inside (0, 1), but z = 1/phi is inf
+        assert main(["rate", "--na", "4", "--ne", "2", "--phi", phi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--phi" in captured.err
+
     @pytest.mark.parametrize("snr_db", ["0:inf:1", "0:1e300:1e-300", "0:1:nan"])
     def test_non_finite_range_names_flag(self, snr_db, capsys):
         assert main(["sweep", "--snr-db", snr_db]) == 2

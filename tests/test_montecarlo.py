@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ansec import montecarlo
 from ansec.montecarlo import (
+    _TRACE_LIMIT,
     COND_LIMIT,
     ChannelDraw,
     GramConditionError,
     McEstimate,
     _complex_gaussian,
     _eve_mixed,
+    _mmse_exact,
     _Moments,
     _null_space_frame,
     _sir_stat_batch,
@@ -205,14 +208,23 @@ class TestMcCapacities:
 
     @pytest.mark.parametrize(
         "na,ne,seed,want",
-        [(6, 5, 1, 4.840797969389781), (2, 1, 1, 1.1726301361866616),
-         (64, 16, 2, 3.8838731813345166)],
+        [(2, 1, 1, 1.1726301361866616), (64, 16, 2, 3.8838731813345166)],
     )
     def test_pinned_eavesdropper_estimates(self, na, ne, seed, want):
         # exact values: a change to draws, Gram, guard or solve shows here
         _, est2 = mc_capacities(SystemConfig(na=na, ne=ne), 3.7, PowerSplit(0.4), 100_000, seed)
         assert est2.mean == want
         assert est2.n_discarded == 0
+
+    def test_sweep_estimate_matches_exact_route(self, monkeypatch):
+        # the same draws with every row sent through the pivoted-LU discard
+        # rule; the LDL^H sweep's rounding may move only the last digits
+        cfg, p, s = SystemConfig(na=6, ne=5), 3.7, PowerSplit(0.4)
+        _, est2 = mc_capacities(cfg, p, s, 100_000, seed=1)
+        monkeypatch.setattr(montecarlo, "_sir_stat_batch", _mmse_exact)
+        _, want = mc_capacities(cfg, p, s, 100_000, seed=1)
+        assert est2.mean == pytest.approx(want.mean, rel=1e-12, abs=0.0)
+        assert est2.n_discarded == want.n_discarded == 0
 
     def test_validation(self):
         cfg, s = SystemConfig(na=4, ne=2), PowerSplit(0.5)
@@ -341,8 +353,8 @@ class TestBatchGuards:
         c = np.linalg.cond(gram)
         want = np.isfinite(c) & (c < COND_LIMIT)
         assert 0 < want.sum() < want.size
-        # one exactly singular Gram sends a whole stack to the exact rule,
-        # so each row is also checked alone, where the trace bound decides
+        # each row is also checked alone, so no row's result may depend on
+        # the other rows of its stack
         alone = [_sir_stat_batch(g1[i : i + 1], gram[i : i + 1]) for i in range(gram.shape[0])]
         for x, good in [_sir_stat_batch(g1, gram), tuple(map(np.concatenate, zip(*alone)))]:
             assert np.array_equal(good, want)
@@ -351,8 +363,8 @@ class TestBatchGuards:
             np.testing.assert_allclose(x[good], ref, rtol=1e-9)
 
     def test_zero_eavesdropper_block_masks_only_its_row(self):
-        # an all-zero Gram makes the batched LU raise; the exact rule then
-        # decides every row of the chunk
+        # an all-zero Gram gives a zero first pivot and a NaN row in the
+        # sweep; the exact rule then decides that row alone
         cfg = SystemConfig(na=5, ne=3)
         rng = np.random.default_rng(79)
         h = _complex_gaussian(rng, (48, cfg.na))
@@ -365,3 +377,39 @@ class TestBatchGuards:
             g1, g2 = g[i] @ w1, g[i] @ w2
             want = np.vdot(g1, np.linalg.solve(g2 @ g2.conj().T, g1)).real
             assert x[i] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("ne", [2, 5, 16])
+    def test_rows_past_trace_limit_get_the_exact_rule(self, ne):
+        # random Grams stay in the sweep; Grams of condition 1e6..1e16 have a
+        # trace bound of at least _TRACE_LIMIT and leave it
+        rng = np.random.default_rng(83 + ne)
+        g = _complex_gaussian(rng, (40, ne, ne + 3))
+        gram = g @ g.conj().swapaxes(1, 2)
+        for i, c in enumerate(np.geomspace(_TRACE_LIMIT, 1e16, 20)):
+            q, _ = np.linalg.qr(_complex_gaussian(rng, (ne, ne)))
+            gram[2 * i] = (q * np.geomspace(1.0, 1.0 / c, ne)) @ q.conj().T
+        g1 = _complex_gaussian(rng, (40, ne))
+        x, good = _sir_stat_batch(g1, gram)
+        far = np.arange(0, 40, 2)
+        want_x, want_good = _mmse_exact(g1[far], gram[far])
+        assert np.array_equal(x[far], want_x, equal_nan=True)
+        assert np.array_equal(good[far], want_good)
+        assert 0 < want_good.sum() < far.size
+        assert good[1::2].all()
+
+    def test_single_eavesdropper_chunk_calls_no_linalg(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        h, g = _complex_gaussian(rng, (4096, 3)), _complex_gaussian(rng, (4096, 1, 3))
+        g1, gram = _eve_mixed(h, g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg was called")
+
+        for name in np.linalg.__all__:
+            member = getattr(np.linalg, name)
+            if callable(member) and not isinstance(member, type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        x, good = _sir_stat_batch(g1, gram)
+        monkeypatch.undo()
+        assert good.all()
+        np.testing.assert_allclose(x, np.abs(g1[:, 0]) ** 2 / gram[:, 0, 0].real, rtol=1e-15)

@@ -59,7 +59,8 @@ class TestConfigTypes:
         assert s.z == 4.0
         assert PowerSplit.from_z(4.0).phi == 0.25
 
-    @pytest.mark.parametrize("phi", [0.0, 1.0, -0.1, 1.5, math.nan])
+    # below about 5.6e-309, z = 1/phi overflows to inf
+    @pytest.mark.parametrize("phi", [0.0, 1.0, -0.1, 1.5, math.nan, 1e-310, 5e-324])
     def test_power_split_validation(self, phi):
         with pytest.raises(ValueError):
             PowerSplit(phi)
