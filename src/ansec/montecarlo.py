@@ -4,8 +4,8 @@ Nothing here reuses the analytic capacity expressions (the imperfect-CSI
 routine subtracts the closed eavesdropper term, which is exact): channels
 are drawn as iid circularly symmetric complex Gaussians, and the
 eavesdroppers' combined SIR is the MMSE quadratic form against their
-interference Gram matrix: batched draws form it as G G^H - g1 g1^H and
-solve it by an LDL^H sweep across the chunk, single draws by LU.
+interference Gram matrix: batched draws build its upper triangle row by row, draws
+last, and solve it by an LDL^H sweep that fills only what it reads; single draws by LU.
 Estimates stream through a merged-moments accumulator in fixed-size
 chunks with one spawned substream per chunk, so a given (seed,
 n_samples, configuration) reproduces bit-for-bit.
@@ -59,9 +59,7 @@ class _Moments:
     # Streaming mean/variance with pairwise chunk merging (Chan's update).
 
     def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
     def update(self, xs: np.ndarray) -> None:
         nb = int(xs.size)
@@ -83,8 +81,11 @@ class _Moments:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # Unit-variance circularly symmetric entries: each component var 1/2.
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+    # Unit-variance circularly symmetric entries, var 1/2 per part, real drawn first.
+    z = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), math.sqrt(0.5), out=z.real)
+    np.multiply(rng.standard_normal(shape), math.sqrt(0.5), out=z.imag)
+    return z
 
 
 def _null_space_frame(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,9 +96,7 @@ def _null_space_frame(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = lead / abs(lead) if lead != 0 else 1.0 + 0.0j
     v = w1.copy()
     v[0] += s
-    reflector = np.eye(na, dtype=complex) - (2.0 / np.vdot(v, v).real) * np.outer(
-        v, v.conj()
-    )
+    reflector = np.eye(na, dtype=complex) - (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj())
     reflector[:, 0] *= -s
     return reflector[:, 0], reflector[:, 1:]
 
@@ -118,8 +117,7 @@ def sir_mmse(draw: ChannelDraw) -> float:
     power) for the physical SIR. Raises GramConditionError when the
     interference Gram matrix is too ill-conditioned to trust.
     """
-    g1 = draw.g @ draw.w1
-    g2 = draw.g @ draw.w2
+    g1, g2 = draw.g @ draw.w1, draw.g @ draw.w2
     x, good = _mmse_exact(g1[None], (g2 @ g2.conj().T)[None])
     if not good[0]:
         raise GramConditionError(f"interference Gram condition is not below {COND_LIMIT:.0e}")
@@ -129,11 +127,17 @@ def sir_mmse(draw: ChannelDraw) -> float:
 def _eve_mixed(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Batched g1 = G w1 and Gram G2 G2^H. W2 enters only through its projector
     # W2 W2^H = I - w1 w1^H, so G2 G2^H = G G^H - g1 g1^H and W2 is never built.
-    w1 = h.conj() / np.linalg.norm(h, axis=1, keepdims=True)
-    g1 = np.einsum("nek,nk->ne", g, w1)
-    gram = g @ g.conj().swapaxes(1, 2)
-    gram -= g1[:, :, None] * g1.conj()[:, None, :]
-    return g1, gram
+    # np.vecdot conjugates in its kernel, so h and G are not copied; Gram row e is
+    # one call over columns f >= e, written draws-last, and the rest its mirror.
+    n, ne, _ = g.shape
+    g1 = np.vecdot(h[:, None], g, out=np.empty((ne, n), dtype=complex).T)
+    g1 /= np.sqrt(np.vecdot(h, h).real)[:, None]
+    gram = np.empty((ne, ne, n), dtype=complex)
+    for e in range(ne):
+        np.vecdot(g[:, e:], g[:, e : e + 1], out=gram[e, e:].T)
+        gram[e, e:] -= g1.T[e] * g1.T[e:].conj()
+        gram[e + 1 :, e] = gram[e, e + 1 :].conj()
+    return g1, gram.transpose(2, 0, 1)
 
 
 def _sir_stat_batch(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,16 +145,17 @@ def _sir_stat_batch(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.nd
     # passes the exact COND_LIMIT rule of _mmse_exact. An unpivoted LDL^H sweep
     # of [gram | g1 | I], draws on the last axis, serves the whole chunk in each
     # numpy call; below pivot j, row i takes columns i..ne+1+j (the Schur
-    # complement's upper triangle, g1, and L^{-1}). With pivots d and y = L^{-1}
-    # g1, x = sum |y_i|^2/d_i and tr(gram^{-1}) = sum_ij |L^{-1}_ij|^2/d_i. As
-    # cond(G) <= tr(G) tr(G^{-1}) for G Hermitian positive definite, rows with
-    # d > 0 and a bound below _TRACE_LIMIT are kept: there the sweep agrees with
-    # a pivoted LU to about 1e-11. All others (NaN too) get the exact rule.
+    # complement's upper triangle, g1, and L^{-1}), and only those are filled.
+    # With pivots d and y = L^{-1} g1, x = sum |y_i|^2/d_i and tr(gram^{-1}) =
+    # sum_{j<=i} |L^{-1}_ij|^2/d_i. As cond(G) <= tr(G) tr(G^{-1}) for G Hermitian
+    # positive definite, rows with d > 0 and a bound below _TRACE_LIMIT are kept,
+    # agreeing with a pivoted LU to about 1e-11; others (NaN too) get the exact rule.
     n, ne = g1.shape
     w = np.empty((ne, 2 * ne + 1, n), dtype=complex)
-    w[:, :ne] = gram.transpose(1, 2, 0)
+    for i in range(ne):  # L^{-1} starts as I
+        w[i, i:ne] = gram[:, i, i:].T
+        w[i, ne + 1 : ne + 2 + i] = np.eye(ne)[i, : i + 1, None]
     w[:, ne] = g1.T
-    w[:, ne + 1 :] = np.eye(ne)[:, :, None]
     with np.errstate(all="ignore"):
         for j in range(ne - 1):
             inv = 1.0 / w[j, j]
@@ -158,7 +163,7 @@ def _sir_stat_batch(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.nd
                 w[i, i : ne + 2 + j] -= (w[j, i].conj() * inv) * w[j, i : ne + 2 + j]
         d = w[range(ne), range(ne)].real
         x = (np.abs(w[:, ne]) ** 2 / d).sum(axis=0)
-        inv_trace = sum((np.abs(w[i, ne + 1 :]) ** 2).sum(axis=0) / d[i] for i in range(ne))
+        inv_trace = sum((np.abs(w[i, ne + 1 : ne + 2 + i]) ** 2).sum(0) / d[i] for i in range(ne))
         good = (d > 0).all(axis=0) & (np.einsum("nii->n", gram).real * inv_trace < _TRACE_LIMIT)
     flagged = ~good
     if flagged.any():
@@ -169,20 +174,15 @@ def _sir_stat_batch(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.nd
 def _mmse_exact(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The discard rule itself: keep a row iff cond(gram) < COND_LIMIT (NaN fails too).
     good = np.linalg.cond(gram) < COND_LIMIT
+    if good.all():
+        return np.vecdot(g1, np.linalg.solve(gram, g1[..., None])[..., 0]).real, good
     x = np.full(g1.shape[0], np.nan)
-    if good.any():
-        sol = np.linalg.solve(gram[good], g1[good][..., None])[..., 0]
-        x[good] = np.einsum("ne,ne->n", g1[good].conj(), sol).real
+    x[good] = _mmse_exact(g1[good], gram[good])[0]
     return x, good
 
 
-def _stream(
-    cfg: SystemConfig,
-    p: float,
-    n_samples: int,
-    seed: int,
-    step: Callable[[np.random.Generator, int], int],
-) -> None:
+def _stream(cfg: SystemConfig, p: float, n_samples: int, seed: int,
+            step: Callable[[np.random.Generator, int], int]) -> None:
     # The chunked draw loop: step(rng, nb) simulates nb draws from a fresh
     # substream of seed and returns how many it kept; chunks continue until
     # n_samples draws are kept. A chunk holds about _TARGET_CHUNK_ELEMENTS
@@ -213,8 +213,7 @@ def mc_capacities(
     later substreams; the count is reported on both estimates. For iid
     Gaussian channels such draws are vanishingly rare.
     """
-    mom1 = _Moments()
-    mom2 = _Moments()
+    mom1, mom2 = _Moments(), _Moments()
     discarded = 0
     sig_u2 = split.sigma_u2(p)
     ratio = (cfg.na - 1.0) / (split.z - 1.0)
@@ -226,15 +225,13 @@ def mc_capacities(
         x, good = _sir_stat_batch(*_eve_mixed(h, _complex_gaussian(rng, (nb, cfg.ne, cfg.na))))
         kept = int(good.sum())
         discarded += nb - kept
-        hn2 = np.einsum("ij,ij->i", h.conj(), h).real
-        mom1.update(np.log1p(sig_u2 * hn2[good]) / LN2)
+        mom1.update(np.log1p(sig_u2 * np.vecdot(h, h).real[good]) / LN2)
         mom2.update(np.log1p(ratio * x[good]) / LN2)
         return kept
 
     _stream(cfg, p, n_samples, seed, step)
-    est1 = McEstimate(mom1.mean, mom1.stderr, mom1.n, seed, discarded)
-    est2 = McEstimate(mom2.mean, mom2.stderr, mom2.n, seed, discarded)
-    return est1, est2
+    return (McEstimate(mom1.mean, mom1.stderr, mom1.n, seed, discarded),
+            McEstimate(mom2.mean, mom2.stderr, mom2.n, seed, discarded))
 
 
 def mc_secrecy_rate_imperfect(
@@ -262,7 +259,7 @@ def mc_secrecy_rate_imperfect(
 
     def step(rng: np.random.Generator, nb: int) -> int:
         unit = _complex_gaussian(rng, (nb, cfg.na))
-        hn2 = err.sigma_hat2 * np.einsum("ij,ij->i", unit.conj(), unit).real
+        hn2 = err.sigma_hat2 * np.vecdot(unit, unit).real
         mom.update(np.log1p(sig_u2 * hn2 / floor) / LN2)
         return nb
 

@@ -151,18 +151,25 @@ def ccdf_sir(x: float, cfg: SystemConfig) -> float:
     """P(X > x) for the eavesdroppers' combined signal-to-interference ratio
     at unit power ratio (information power == per-dimension noise power).
 
-    Equals (sum_{k<ne} C(na-1, k) x^k) / (1+x)^{na-1}. Factored as
-    products of ratios <= 1 so no intermediate power overflows.
+    Equals (sum_{k<ne} C(na-1, k) x^k) / (1+x)^{na-1}. Only the term at min(ne-1,
+    mode) is evaluated; the ratio k/((na-k) x) runs away from the mode, so no step grows.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"the SIR is nonnegative, got x={x}")
-    if math.isinf(x):
+    if x == math.inf:
         return 0.0
-    r = x / (1.0 + x)
-    q = 1.0 / (1.0 + x)
-    total = 0.0
-    for k in range(cfg.ne):
-        total += math.comb(cfg.na - 1, k) * r ** k * q ** (cfg.na - 1 - k)
+    a, top = cfg.na - 1, cfg.ne - 1
+    r, q = x / (1.0 + x), 1.0 / (1.0 + x)
+    k = up = top if (a + 1) * r >= top else int((a + 1) * r)
+    total = down = term = math.comb(a, k) * r**k * q ** (a - k)
+    while k > 0:
+        down *= k / ((a - k + 1) * x)
+        total += down
+        k -= 1
+    while up < top:
+        up += 1
+        term *= (a - up + 1) * x / up
+        total += term
     return total
 
 

@@ -106,11 +106,7 @@ def scaled_expint_en(n: int, x: float) -> float:
 
 def expint_en(n: int, x: float) -> float:
     """Generalized exponential integral E_n(x) = int_1^inf e^{-xt} t^{-n} dt."""
-    if x < 0:
-        raise ValueError(f"E_n is only evaluated for x >= 0, got x={x}")
-    if x == 0:
-        return scaled_expint_en(n, x)
-    return math.exp(-x) * scaled_expint_en(n, x)
+    return scaled_expint_en(n, x) * math.exp(-x)  # the scaled form checks n and x first
 
 
 def scaled_expint_sum(n_terms: int, x: float) -> float:

@@ -36,6 +36,13 @@ from ansec.secrecy import (
 LN2 = math.log(2.0)
 
 
+def _matmul_gram(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # g1 = G w1 and G G^H - g1 g1^H as one stacked matmul with conjugate copies
+    w1 = h.conj() / np.linalg.norm(h, axis=1, keepdims=True)
+    g1 = np.einsum("nek,nk->ne", g, w1)
+    return g1, g @ g.conj().swapaxes(1, 2) - g1[:, :, None] * g1.conj()[:, None, :]
+
+
 class TestTransmitFrame:
     @pytest.mark.parametrize("na,ne", [(2, 1), (4, 2), (6, 3), (8, 1), (3, 2)])
     def test_frame_invariants(self, na, ne):
@@ -95,6 +102,16 @@ class TestChannelDistribution:
         ks = stats.kstest(np.asarray(gains), "gamma", args=(3,)).statistic
         assert ks < 0.02
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (4096, 6), (2048, 5, 6)])
+    def test_same_seed_same_draws(self, shape):
+        # the draws are the literal expression bit for bit, for single-draw
+        # and chunk shapes: a faster assembly may not change them
+        got = _complex_gaussian(np.random.default_rng(37), shape)
+        rng = np.random.default_rng(37)
+        want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_entry_variance_convention(self):
         # unit total variance: 1/2 per real component
         rng = np.random.default_rng(31)
@@ -143,15 +160,20 @@ class TestSirStatistic:
         sup_dev = max(np.max(np.abs(closed - upper)), np.max(np.abs(closed - lower)))
         assert sup_dev < 0.01
 
-    @pytest.mark.parametrize("na,ne", [(2, 1), (4, 2), (6, 5), (8, 7), (64, 16)])
+    @pytest.mark.parametrize(
+        "na,ne", [(2, 1), (4, 2), (6, 5), (8, 7), (64, 16), (8, 4), (3, 2)]
+    )
     def test_projector_gram_matches_frame(self, na, ne):
         # g1 and G G^H - g1 g1^H against G w1 and (G W2)(G W2)^H from the
-        # explicit Householder frame. At (2, 1) the Gram cancels when
-        # ||g2||^2 << |g1|^2, so the bound scales with ||G||_F^2, not the Gram.
+        # explicit Householder frame, over both triangles of the mirrored Gram.
+        # At (2, 1) the Gram cancels when ||g2||^2 << |g1|^2, so the bound
+        # scales with ||G||_F^2, not the Gram.
         rng = np.random.default_rng(59)
         h = _complex_gaussian(rng, (64, na))
         g = _complex_gaussian(rng, (64, ne, na))
         g1, gram = _eve_mixed(h, g)
+        assert g1.shape == (64, ne) and gram.shape == (64, ne, ne)
+        assert np.array_equal(np.tril(gram, -1), np.tril(gram.conj().swapaxes(1, 2), -1))
         for i in range(64):
             w1, w2 = _null_space_frame(h[i])
             g2 = g[i] @ w2
@@ -210,11 +232,27 @@ class TestMcCapacities:
         "na,ne,seed,want",
         [(2, 1, 1, 1.1726301361866616), (64, 16, 2, 3.8838731813345166)],
     )
-    def test_pinned_eavesdropper_estimates(self, na, ne, seed, want):
-        # exact values: a change to draws, Gram, guard or solve shows here
-        _, est2 = mc_capacities(SystemConfig(na=na, ne=ne), 3.7, PowerSplit(0.4), 100_000, seed)
-        assert est2.mean == want
-        assert est2.n_discarded == 0
+    def test_pinned_eavesdropper_estimates(self, na, ne, seed, want, monkeypatch):
+        # each chunk's draws also go through an independent route in the same
+        # run: g1 = G w1, a stacked matmul Gram and a pivoted LU solve. Only
+        # rounding may separate the two estimates; want, the value the same
+        # draws gave through the earlier einsum Gram and sweep, must agree too
+        cfg, split = SystemConfig(na=na, ne=ne), PowerSplit(0.4)
+        package_route, oracle_x = montecarlo._eve_mixed, []
+
+        def both_routes(h, g):
+            g1, gram = _matmul_gram(h, g)
+            sol = np.linalg.solve(gram, g1[..., None])[..., 0]
+            oracle_x.append(np.einsum("ne,ne->n", g1.conj(), sol).real)
+            return package_route(h, g)
+
+        monkeypatch.setattr(montecarlo, "_eve_mixed", both_routes)
+        _, est2 = mc_capacities(cfg, 3.7, split, 100_000, seed)
+        assert est2.n_discarded == 0  # so every oracle row is a kept draw
+        ratio = (na - 1.0) / (split.z - 1.0)
+        oracle = np.mean(np.log1p(ratio * np.concatenate(oracle_x))) / LN2
+        assert est2.mean == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        assert est2.mean == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_sweep_estimate_matches_exact_route(self, monkeypatch):
         # the same draws with every row sent through the pivoted-LU discard

@@ -194,6 +194,32 @@ class TestCcdfSir:
         with pytest.raises(ValueError):
             ccdf_sir(-0.5, SystemConfig(na=4, ne=2))
 
+    @pytest.mark.parametrize(
+        "na,ne,x,want",
+        [
+            (300, 299, 50.0, 0.99731744494943386),
+            (65, 60, 1e10, 7.6245119587005601e-44),
+            (512, 500, 1e3, 3.6251858059875216e-13),
+        ],
+    )
+    def test_far_from_the_lowest_term(self, na, ne, x, want):
+        # the lowest term q^(na-1) underflows at each point, so a recurrence
+        # seeded there would return 0.0; want is 40-digit mpmath
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            ref = sum(mpmath.binomial(na - 1, k) * xm**k for k in range(ne)) / (1 + xm) ** (na - 1)
+        assert float(ref) == want
+        assert rel_err(ccdf_sir(x, SystemConfig(na=na, ne=ne)), want) <= 1e-13
+
+    @pytest.mark.parametrize("na,ne", [(2, 1), (8, 3), (65, 60), (512, 500)])
+    def test_ends_of_the_range(self, na, ne):
+        cfg = SystemConfig(na=na, ne=ne)
+        assert ccdf_sir(0.0, cfg) == 1.0
+        assert ccdf_sir(math.inf, cfg) == 0.0
+        assert ccdf_sir(1e-300, cfg) == 1.0
+        with pytest.raises(ValueError):
+            ccdf_sir(math.nan, cfg)
+
 
 def _eve_nats_single(na: int, z: float) -> float:
     # the single-eavesdropper C2 in nats, S_a(u) = sum_m u^m/(a + m) with
