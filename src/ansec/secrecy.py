@@ -153,6 +153,8 @@ def ccdf_sir(x: float, cfg: SystemConfig) -> float:
 
     Equals (sum_{k<ne} C(na-1, k) x^k) / (1+x)^{na-1}. Only the term at min(ne-1,
     mode) is evaluated; the ratio k/((na-k) x) runs away from the mode, so no step grows.
+    That term's factor (1+x)^{k+1-na} is applied in two halves where whole it
+    would underflow.
     """
     if not x >= 0:
         raise ValueError(f"the SIR is nonnegative, got x={x}")
@@ -161,7 +163,11 @@ def ccdf_sir(x: float, cfg: SystemConfig) -> float:
     a, top = cfg.na - 1, cfg.ne - 1
     r, q = x / (1.0 + x), 1.0 / (1.0 + x)
     k = up = top if (a + 1) * r >= top else int((a + 1) * r)
-    total = down = term = math.comb(a, k) * r**k * q ** (a - k)
+    term, tail = math.comb(a, k) * r**k, q ** (a - k)
+    if tail < 2.2250738585072014e-308:  # q^(a-k) leaves the normal range, the term need not
+        term *= q ** ((a - k) // 2)
+        tail = q ** (a - k - (a - k) // 2)
+    total = down = term = term * tail
     while k > 0:
         down *= k / ((a - k + 1) * x)
         total += down
@@ -201,9 +207,9 @@ def _eve_terms(na: int, n: int, z: float) -> list[float]:
     # single-eavesdropper sum. A contiguous relation in b (DLMF 15.5) gives
     # term_k = a/(k(a-k)) - r_k term_{k-1}, r_k = (y/a)(a-k+1)/k, y = z - 1,
     # and r_k falls through 1 at k* = (a+1)/(1 + a/y): order s just below k*
-    # (0: S_a; a - 1: the bounded top term, c = b + 1; else one series) seeds
-    # the relation both ways, each damping its error; y divides last, so no
-    # step overflows up to z = 1e308.
+    # (0: S_a; a - 1: the bounded top term, c = b + 1; else Gauss's continued
+    # fraction) seeds the relation both ways, each damping its error; y
+    # divides last, so no step overflows up to z = 1e308.
     a, y = na - 1, z - 1.0
     s = 0 if n == 1 else min(a - 1, math.ceil((a + 1) / (1.0 + a / y)) - 1)
     if s == 0:
@@ -224,31 +230,13 @@ def _dc2_nats_dz(na: int, ne: int, z: float) -> float:
     # dC2/dz in nats. With F_b = 2F1(1, b; na; x), x(1-x) F_b' = (na-b) F_{b-1}
     # + (b-na+x) F_b (DLMF 15.5) and dx/dz = a/y^2, the slopes of the ne terms
     # telescope to a (1 - F_ne)/(y (z - na)), F_ne = y (na-ne) term_{ne-1}/a.
-    # Where F_ne is within about 1/16 of 1, 1 - F_ne is summed instead from
-    # like-signed terms: F_ne's series for x >= 0, and for x < 0 its Pfaff form
-    # (DLMF 15.8.1), sum_{m>=1} (1 - r_m) w^m, w = x/(x-1), r_m = (na-ne)_m/(na)_m.
+    # Where F_ne is within about 1/16 of 1, that difference cancels; there
+    # F_ne - 1 = (ne x/na) 2F1(1, ne+1; na+1; x) instead, and x/(z - na) = 1/y.
     a, y = na - 1, z - 1.0
     f = y * (na - ne) / a * _eve_terms(na, ne, z)[-1]
     if 16.0 * abs(1.0 - f) >= f:
         return a * (1.0 - f) / (y * (z - na))
-    x = (z - na) / y
-    total, m = 0.0, 0
-    if x >= 0.0:  # (F_ne - 1)/x = sum_{m>=0} (ne)_{m+1}/(na)_{m+1} x^m
-        coef = ne / na
-        while coef > 1e-17 * (1.0 - x) * total:
-            total += coef
-            m += 1
-            coef *= (ne + m) / (na + m) * x
-        return -a / (y * y) * total
-    w = x / (x - 1.0)  # then w/(z - na) = -1/a
-    r, one_minus_r, power = 1.0, 0.0, 1.0
-    while power > 1e-17 * (1.0 - w) * total:  # 1 - r_m < 1 bounds the tail
-        one_minus_r += r * ne / (na + m)
-        r *= (na - ne + m) / (na + m)
-        total += one_minus_r * power
-        power *= w
-        m += 1
-    return -total / a
+    return -a * ne / na * specfun._hyp2f1_1b_c(ne + 1, na + 1, (z - na) / y) / (y * y)
 
 
 def secrecy_rate(

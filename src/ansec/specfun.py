@@ -13,8 +13,10 @@ e^x), and other orders, alone or summed, by the recurrence 5.1.14 from
 one evaluated order. One bounded kernel sums
 S_a(u) = sum_m u^m/(a+m) = 2F1(1, a; a+1; u)/a: the single-eavesdropper
 capacity, and through the Pfaff transformation (DLMF 15.8.1) every
-2F1(1, 1; c; x), hence the appendix closed forms. Other negative
-hypergeometric arguments are Pfaff-mapped into (0, 1) for a Gauss series.
+2F1(1, 1; c; x), hence the appendix closed forms. Every other
+2F1(1, b; c; x) is Gauss's continued fraction (DLMF 15.7.5), which S_a(u)
+also runs on for one of its routes. Each loop stops at the same fixed
+number of terms and raises past it.
 """
 from __future__ import annotations
 
@@ -27,8 +29,7 @@ _SERIES_CF_SPLIT = 1.5  # E_1 series below, E_n continued fraction above
 # fraction loses digits past there, and fails once b += 2 no longer moves b.
 _EN_ASYMPTOTIC = 2e16
 _EN_MAX_ITER = 10_000
-_HYP_MAX_TERMS = 5_000_000
-_LERCH_MAX_TERMS = 200  # loop cap of every _lerch_sum route
+_LERCH_MAX_TERMS = 200  # loop cap of every _lerch_sum route and of _gauss_cf
 # ln a - psi(a) for a = 1..19 (mpmath at 30 digits): ln a - H_{a-1} cancels
 _LN_MINUS_PSI = (
     0.5772156649015329, 0.27036284546147815, 0.17582795356964256, 0.13017669268809015,
@@ -132,6 +133,32 @@ def scaled_expint_sum(n_terms: int, x: float) -> float:
     return math.fsum(terms)
 
 
+def _gauss_cf(b: int, c: int, x: float) -> float:
+    # 2F1(1, b; c; x) for integers c > b >= 1 and x < 1 as Gauss's continued
+    # fraction for 2F1(1, b; c; x)/2F1(0, b; c-1; x) (DLMF 15.7.5),
+    # 1/(1 - k_1 x/(1 - k_2 x/(1 - ...))), by modified Lentz. Over
+    # (c+n-2)(c+n-1), k_n has numerator (c+h-2)(b+h-1) for odd n = 2h-1 and
+    # h(c+h-1-b) for even n = 2h: integers, so each k_n is rounded once.
+    # k_n tends to 1/4, so convergence slows as x nears 1 or falls far below
+    # 0. For x < 0 every k_n x is negative: successive approximants bracket
+    # the value, so the last step bounds the error, and the stop is 1e-15,
+    # since rounding keeps the step a few ulps from 1 once |k_n x| is large.
+    f = g = 1.0
+    e = 0.0
+    tol = 1e-15 if x < 0 else 1e-16
+    for n in range(1, _LERCH_MAX_TERMS):
+        h = (n + 1) // 2
+        num = (c + h - 2.0) * (b + h - 1) if n % 2 else h * (c + h - 1.0 - b)
+        kx = num / ((c + n - 2.0) * (c + n - 1)) * x
+        e = 1.0 / (1.0 - kx * e)
+        g = 1.0 - kx / g
+        delta = g * e
+        f *= delta
+        if abs(delta - 1.0) < tol:
+            return 1.0 / f
+    raise RuntimeError(f"2F1(1, b; c; x) exceeded {_LERCH_MAX_TERMS} terms for b={b}, c={c}, x={x}")
+
+
 def _lerch_sum(a: int, d: float, y: float) -> float:
     # S_a(u) = sum_{m>=0} u^m / (a + m) = 2F1(1, a; a+1; u) / a, integer a >= 1,
     # u < 1, from d = a u and y = a (1 - u) > 0, each formed without cancellation:
@@ -141,7 +168,7 @@ def _lerch_sum(a: int, d: float, y: float) -> float:
     #   y <= 1.5: the connection series in x = 1 - u = y/a (DLMF 15.8.10),
     #     sum_k (a)_k/k! (psi(k+1) - psi(a+k) - ln x) x^k, ratio about y;
     #   else: the Pfaff form 2F1(1, 1; a+1; w) / y, w = u/(u-1) (DLMF 15.8.1),
-    #     as Gauss's 1/(1 - k_1 w/(1 - k_2 w/(1 - ...))) by modified Lentz.
+    #     by Gauss's continued fraction.
     # x and w come from d and y, not from the rounded u, which costs digits
     # near u = 1. No route needs more than about 140 terms, for any a.
     u = d / a
@@ -175,18 +202,7 @@ def _lerch_sum(a: int, d: float, y: float) -> float:
             if coef * (abs(bracket) + 1.0) <= 1e-17 * total:
                 return total
     else:
-        w = -d / y
-        f = c = 1.0
-        e = 0.0
-        for n in range(1, _LERCH_MAX_TERMS):
-            h = (n + 1) // 2
-            k = h * (a + h - 1.0) / ((a + n - 1.0) * (a + n))
-            e = 1.0 / (1.0 - k * w * e)
-            c = 1.0 - k * w / c
-            delta = c * e
-            f *= delta
-            if abs(delta - 1.0) < 1e-16:
-                return 1.0 / (f * y)
+        return _gauss_cf(1, a + 1, -d / y) / y
     raise RuntimeError(f"S_a(u) exceeded {_LERCH_MAX_TERMS} terms for a={a}, d={d}, y={y}")
 
 
@@ -217,32 +233,15 @@ def hyp2f1_appendix_closed_form(n_cap: int, x: float, form: str) -> float:
         return math.inf
 
 
-def _gauss_series_1b_c(b: int, c: int, y: float) -> float:
-    # 2F1(1, b; c; y) for y in (0, 1): all terms positive, Kahan-summed.
-    # Term ratio tends to y, so demand the geometric tail be below 1e-16.
-    stop = 1e-16 * (1.0 - y) / y if y > 0.5 else 1e-16
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    m = 0
-    while True:
-        term *= (b + m) / (c + m) * y
-        corrected = term - comp
-        fresh = total + corrected
-        comp = (fresh - total) - corrected
-        total = fresh
-        m += 1
-        if term <= stop * total:
-            return total
-        if m > _HYP_MAX_TERMS:
-            raise RuntimeError(f"2F1 series failed to converge for b={b}, c={c}, y={y}")
-
-
 def hyp2f1_1b_c(b: int, c: int, x: float) -> float:
     """Gauss hypergeometric 2F1(1, b; c; x) for integers c > b >= 1, x < 1.
 
-    c = b + 1 and b = 1 instances run on the bounded S_a(u) kernel; other
-    negative arguments are Pfaff-transformed to y = x/(x-1) in (0, 1).
+    c = b + 1 and b = 1 instances run on the S_a(u) kernel, which answers
+    every x < 1. Others are Gauss's continued fraction, which stops at 200
+    terms: it answers every -100 <= x <= 0.99 (checked for all c <= 64 and
+    sampled c <= 1024) and every argument capacity_eve needs for na <= 1024,
+    and raises RuntimeError where it would need more terms, as at
+    (3, 8, 0.9999).
     """
     if not _is_int(b) or not _is_int(c) or b < 1:
         raise ValueError(f"b and c must be integers with b >= 1, got ({b!r}, {c!r})")
@@ -262,6 +261,4 @@ def _hyp2f1_1b_c(b: int, c: int, x: float) -> float:
     if b == 1:
         a = c - 1
         return a * _lerch_sum(a, a * (x / (x - 1.0)), a / (1.0 - x)) / (1.0 - x)
-    if x < 0:
-        return _gauss_series_1b_c(c - b, c, x / (x - 1)) / (1.0 - x)
-    return _gauss_series_1b_c(b, c, x)
+    return _gauss_cf(b, c, x)

@@ -200,6 +200,10 @@ class TestCcdfSir:
             (300, 299, 50.0, 0.99731744494943386),
             (65, 60, 1e10, 7.6245119587005601e-44),
             (512, 500, 1e3, 3.6251858059875216e-13),
+            # q^(na-1-k) of the evaluated term leaves the double range (to 0.0,
+            # and to a subnormal) where the term does not
+            (256, 121, 266.37, 2.6054242224827394e-253),
+            (512, 153, 6.709, 1.2431554429630647e-194),
         ],
     )
     def test_far_from_the_lowest_term(self, na, ne, x, want):
@@ -370,7 +374,7 @@ class TestEveOrdersOracle:
     # recurrence's error factor, and the rest follow from the recurrence run
     # upward and downward from it: s = 0 (the single-eavesdropper kernel)
     # for z <= 2, s = na - 2 (the bounded top term) far out, and in between
-    # one Gauss series.
+    # one Gauss continued fraction.
     TOL = 1e-14
 
     def test_every_order_near_one_against_mpmath(self):
@@ -406,8 +410,8 @@ class TestEveOrdersOracle:
         at, above = PowerSplit.from_z(2.0), PowerSplit.from_z(math.nextafter(2.0, math.inf))
         assert at.z == 2.0 < above.z
         for na in range(2, 65):
-            # just above z = 2 the seed leaves order 0; the reference sums each
-            # order's own series once per na, tied to capacity_eve at ne = 1
+            # just above z = 2 the seed leaves order 0; the reference evaluates
+            # each order's own 2F1 once per na, tied to capacity_eve at ne = 1
             # and na - 1 above the switch and at every ne on it
             x = (above.z - na) / (above.z - 1.0)
             scale = (na - 1.0) / (above.z - 1.0)
@@ -468,19 +472,51 @@ class TestEveOrdersOracle:
 
     def test_one_kernel_call_per_evaluation(self, monkeypatch):
         # every order comes from one seed: exactly one S_a(u) kernel or Gauss
-        # series per capacity_eve call (z = na is avoided: there x = 0 and the
-        # seed is exact without either)
-        calls = []
-        for name in ("_lerch_sum", "_gauss_series_1b_c"):
+        # continued fraction per capacity_eve call, not counting the fraction
+        # S_a(u) runs on one of its routes (z = na is avoided: there x = 0 and
+        # the seed is exact without either)
+        calls, open_calls = [], []
+
+        def counted(*args, _real):
+            if not open_calls:
+                calls.append(args)
+            open_calls.append(args)
+            try:
+                return _real(*args)
+            finally:
+                open_calls.pop()
+
+        for name in ("_lerch_sum", "_gauss_cf"):
             real = getattr(ansec.specfun, name)
             monkeypatch.setattr(ansec.specfun, name,
-                                lambda *args, _real=real: calls.append(args) or _real(*args))
+                                lambda *args, _real=real: counted(*args, _real=_real))
         for na in (2, 3, 4, 8, 16, 64):
             for z in (1.5, 3.0, na + 0.5, 10.0 * na, float(na * na), 1e6):
                 for ne in range(1, na):
                     calls.clear()
                     capacity_eve(SystemConfig(na, ne), PowerSplit.from_z(z))
                     assert len(calls) == 1, (na, ne, z, calls)
+
+    def test_every_seed_within_the_term_cap(self):
+        # capacity_eve at ne = na - 1 runs the seed and the recurrence both
+        # ways; the slope adds 2F1(1, ne+1; na+1; x). Any call needing more
+        # Gauss continued-fraction terms than the cap raises. The slowest
+        # fractions sit just above the first seed switches, where b is small
+        # and x = 1 - a/y is near 1 - a, so those points join the random ones
+        assert ansec.specfun._LERCH_MAX_TERMS <= 200
+        rng = random.Random(17)
+        for na in [2, 3, 4, 8, 64, 256, 512, 847, 1024] + [rng.randint(5, 1024) for _ in range(6)]:
+            a = na - 1
+            ys = [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(24)]
+            switches = [a / ((a + 1) / s - 1.0) for s in (1, 2, 3) if s < a]
+            ys += [y0 * (1.0 + 10.0 ** -k) for y0 in switches for k in (9, 4, 2)]
+            for y in ys:
+                split = PowerSplit.from_z(1.0 + y)
+                assert math.isfinite(capacity_eve(SystemConfig(na, na - 1), split)), (na, y)
+                for ne in {1, 2, na // 2, na - 1} - {0, na}:
+                    assert math.isfinite(_dc2_nats_dz(na, ne, split.z)), (na, ne, y)
+        with pytest.raises(RuntimeError, match="exceeded 200 terms"):
+            hyp2f1_1b_c(3, 8, 0.9999)
 
 
 class TestEveSingleOracle:
@@ -603,10 +639,11 @@ class TestDc2Oracle:
             assert oracle_rel_err(got, dc2_oracle(na, z)) <= self.TOL, (na, z)
 
     def test_hitting_the_cap_raises(self, monkeypatch):
-        # the slope runs on C2's own orders, so their Gauss series' cap holds
-        # (the ne = 1 kernel's caps are TestEveSingleOracle's)
-        monkeypatch.setattr(ansec.specfun, "_HYP_MAX_TERMS", 3)
-        with pytest.raises(RuntimeError, match="failed to converge"):
+        # the slope runs on C2's own orders and on 2F1(1, ne+1; na+1; x), so the
+        # Gauss continued fraction's cap holds (the ne = 1 kernel's caps are
+        # TestEveSingleOracle's)
+        monkeypatch.setattr(ansec.specfun, "_LERCH_MAX_TERMS", 3)
+        with pytest.raises(RuntimeError, match="exceeded 3 terms"):
             _dc2_nats_dz(64, 2, 40.0)
 
 
