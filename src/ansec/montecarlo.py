@@ -6,15 +6,18 @@ are drawn as iid circularly symmetric complex Gaussians, and the
 eavesdroppers' combined SIR is the MMSE quadratic form against their
 interference Gram matrix: batched draws build its upper triangle row by row, draws
 last, and solve it by an LDL^H sweep that fills only what it reads; single draws by LU.
-Estimates stream through a merged-moments accumulator in fixed-size
-chunks with one spawned substream per chunk, so a given (seed,
-n_samples, configuration) reproduces bit-for-bit.
+Estimates stream through a merged-moments accumulator in fixed-size chunks with one spawned
+substream per chunk, so a given (seed, n_samples, configuration) reproduces bit-for-bit. A
+worker thread draws one chunk ahead, again from the same substream if discards resize it,
+while the caller solves the current chunk in blocks; the estimates are those of whole chunks.
 """
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,6 +26,8 @@ from .secrecy import LN2, CsiError, PowerSplit, SystemConfig, _is_int, capacity_
 COND_LIMIT = 1e12  # Gram matrices at or above this are discarded and redrawn
 _TRACE_LIMIT = 1e6  # tr(G) tr(G^-1) at which a row leaves the sweep for the exact rule
 _TARGET_CHUNK_ELEMENTS = 4_000_000
+_BLOCK = 4096  # draws the worker posts at a time and the caller solves at a time
+_SPARE: dict[str, np.ndarray] = {}  # an idle draw buffer (dict.pop is atomic across threads)
 
 
 class GramConditionError(RuntimeError):
@@ -80,11 +85,16 @@ class _Moments:
         return math.sqrt(self.m2 / (self.n - 1) / self.n)
 
 
+def _draw(rng: np.random.Generator, out: np.ndarray) -> None:
+    # One part of unit-variance circularly symmetric entries: var 1/2, in place.
+    np.multiply(rng.standard_normal(out.shape), math.sqrt(0.5), out=out)
+
+
 def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # Unit-variance circularly symmetric entries, var 1/2 per part, real drawn first.
+    # Real part drawn first; a draw in row blocks, part by part, gives the same values.
     z = np.empty(shape, dtype=complex)
-    np.multiply(rng.standard_normal(shape), math.sqrt(0.5), out=z.real)
-    np.multiply(rng.standard_normal(shape), math.sqrt(0.5), out=z.imag)
+    _draw(rng, z.real)
+    _draw(rng, z.imag)
     return z
 
 
@@ -181,22 +191,64 @@ def _mmse_exact(g1: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x, good
 
 
-def _stream(cfg: SystemConfig, p: float, n_samples: int, seed: int,
-            step: Callable[[np.random.Generator, int], int]) -> None:
-    # The chunked draw loop: step(rng, nb) simulates nb draws from a fresh
-    # substream of seed and returns how many it kept; chunks continue until
-    # n_samples draws are kept. A chunk holds about _TARGET_CHUNK_ELEMENTS
-    # eavesdropper entries, so memory stays flat as na and ne grow.
-    if not _is_int(n_samples) or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+def _stream(cfg: SystemConfig, p: float, n_samples: int, seed: int, ne: int,
+            step: Callable[[np.ndarray, np.ndarray, Iterator[tuple[int, int]]], int]) -> None:
+    # Chunk k holds nb = min(chunk, draws still needed) draws of h (nb, na) and G (nb, ne, na),
+    # about _TARGET_CHUNK_ELEMENTS entries of G, from the k-th spawned substream of seed;
+    # step(h, G, blocks) returns how many it kept. A worker that only draws (errstate is per
+    # thread) fills two chunk buffers in turn and posts each _BLOCK draws of G's imaginary
+    # part, drawn last, for blocks to yield. Both buffers share one array, kept for the next
+    # call when at most _TARGET_CHUNK_ELEMENTS, so its pages need not be faulted in again.
+    for name, value, low in (("n_samples", n_samples, 2), ("seed", seed, 0)):
+        if not _is_int(value) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")
-    chunk = max(2048, min(65536, _TARGET_CHUNK_ELEMENTS // (cfg.na * cfg.ne)))
-    seq = np.random.SeedSequence(seed)
-    remaining = n_samples
-    while remaining > 0:
-        rng = np.random.default_rng(seq.spawn(1)[0])
-        remaining -= step(rng, min(chunk, remaining))
+    chunk = min(n_samples, max(2048, min(65536, _TARGET_CHUNK_ELEMENTS // (cfg.na * cfg.ne))))
+    nh, size = chunk * cfg.na, chunk * cfg.na * (1 + ne)  # a chunk's h, then its G
+    if (flat := _SPARE.pop("draws", None)) is None or flat.size < 2 * size:
+        flat = np.empty(2 * size, complex)
+    bufs = [(b[:nh].reshape(chunk, cfg.na), b[nh:].reshape(chunk, ne, cfg.na))
+            for b in flat[: 2 * size].reshape(2, size)]
+    jobs, ready, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+
+    def work() -> None:
+        try:
+            for k, nb in iter(jobs.get, None):
+                h, g = (b[:nb] for b in bufs[k % 2])
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+                for i, part in enumerate((h.real, h.imag, g.real, g.imag)):
+                    for lo in range(0, nb, _BLOCK):
+                        if stop.is_set():
+                            return
+                        _draw(rng, part[lo : lo + _BLOCK])
+                        if i == 3:
+                            ready.put((k, nb, lo, min(lo + _BLOCK, nb)))
+                ready.put((k, nb))  # the end of chunk k
+        except BaseException as exc:  # handed to the caller, which raises it
+            ready.put(exc)
+
+    def blocks(k: int, nb: int) -> Iterator[tuple[int, int]]:
+        for msg in iter(ready.get, (k, nb)):
+            if isinstance(msg, BaseException):
+                raise msg
+            if msg[:2] == (k, nb):  # else a lookahead drawn at a stale size
+                yield msg[2:]
+
+    (worker := threading.Thread(target=work, name="ansec-mc-draws", daemon=True)).start()
+    try:
+        k, remaining, ahead = 0, n_samples, 0
+        while remaining > 0:
+            if (nb := min(chunk, remaining)) != ahead:  # the first chunk, or a stale lookahead
+                jobs.put((k, nb))
+            jobs.put((k + 1, ahead := min(chunk, remaining - nb)))  # as if chunk k keeps all
+            remaining -= step(*(b[:nb] for b in bufs[k % 2]), blocks(k, nb))
+            k += 1
+    finally:
+        stop.set()
+        jobs.put(None)
+        worker.join()
+    _SPARE["draws"] = flat if flat.size <= _TARGET_CHUNK_ELEMENTS else np.empty(0, complex)
 
 
 def mc_capacities(
@@ -218,18 +270,17 @@ def mc_capacities(
     sig_u2 = split.sigma_u2(p)
     ratio = (cfg.na - 1.0) / (split.z - 1.0)
 
-    def step(rng: np.random.Generator, nb: int) -> int:
+    def step(h: np.ndarray, g: np.ndarray, blocks: Iterator[tuple[int, int]]) -> int:
         nonlocal discarded
-        h = _complex_gaussian(rng, (nb, cfg.na))
-        # G stays unnamed, so it is freed before the solve, the peak stage.
-        x, good = _sir_stat_batch(*_eve_mixed(h, _complex_gaussian(rng, (nb, cfg.ne, cfg.na))))
+        solved = [_sir_stat_batch(*_eve_mixed(h[lo:hi], g[lo:hi])) for lo, hi in blocks]
+        x, good = (np.concatenate(v) for v in zip(*solved))
         kept = int(good.sum())
-        discarded += nb - kept
+        discarded += len(h) - kept
         mom1.update(np.log1p(sig_u2 * np.vecdot(h, h).real[good]) / LN2)
         mom2.update(np.log1p(ratio * x[good]) / LN2)
         return kept
 
-    _stream(cfg, p, n_samples, seed, step)
+    _stream(cfg, p, n_samples, seed, cfg.ne, step)
     return (McEstimate(mom1.mean, mom1.stderr, mom1.n, seed, discarded),
             McEstimate(mom2.mean, mom2.stderr, mom2.n, seed, discarded))
 
@@ -257,12 +308,11 @@ def mc_secrecy_rate_imperfect(
     sig_u2 = split.sigma_u2(p)
     floor = err.sigma_tilde2 * p + 1.0
 
-    def step(rng: np.random.Generator, nb: int) -> int:
-        unit = _complex_gaussian(rng, (nb, cfg.na))
-        hn2 = err.sigma_hat2 * np.vecdot(unit, unit).real
-        mom.update(np.log1p(sig_u2 * hn2 / floor) / LN2)
-        return nb
+    def step(unit: np.ndarray, _: np.ndarray, blocks: Iterator[tuple[int, int]]) -> int:
+        list(blocks)  # the chunk is whole once its last block lands
+        mom.update(np.log1p(sig_u2 * (err.sigma_hat2 * np.vecdot(unit, unit).real) / floor) / LN2)
+        return len(unit)
 
-    _stream(cfg, p, n_samples, seed, step)
+    _stream(cfg, p, n_samples, seed, 0, step)
     c2 = capacity_eve(cfg, split)
     return McEstimate(mom.mean - c2, mom.stderr, mom.n, seed, 0)

@@ -1,5 +1,8 @@
 """Channel-simulation estimates against closed forms and distribution checks."""
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +44,64 @@ def _matmul_gram(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w1 = h.conj() / np.linalg.norm(h, axis=1, keepdims=True)
     g1 = np.einsum("nek,nk->ne", g, w1)
     return g1, g @ g.conj().swapaxes(1, 2) - g1[:, :, None] * g1.conj()[:, None, :]
+
+
+def _reference_stream(cfg, n_samples, seed, step):
+    # the chunk loop as it ran before the draws moved to a worker thread: one
+    # spawned substream per chunk, min(chunk, remaining) draws, each chunk whole
+    chunk = max(2048, min(65536, montecarlo._TARGET_CHUNK_ELEMENTS // (cfg.na * cfg.ne)))
+    seq, remaining = np.random.SeedSequence(seed), n_samples
+    while remaining > 0:
+        remaining -= step(np.random.default_rng(seq.spawn(1)[0]), min(chunk, remaining))
+
+
+def _reference_capacities(cfg, p, split, n_samples, seed):
+    mom1, mom2, discarded = _Moments(), _Moments(), [0]
+
+    def step(rng, nb):
+        h = _complex_gaussian(rng, (nb, cfg.na))
+        x, good = _sir_stat_batch(*_eve_mixed(h, _complex_gaussian(rng, (nb, cfg.ne, cfg.na))))
+        kept = int(good.sum())
+        discarded[0] += nb - kept
+        mom1.update(np.log1p(split.sigma_u2(p) * np.vecdot(h, h).real[good]) / LN2)
+        mom2.update(np.log1p((cfg.na - 1.0) / (split.z - 1.0) * x[good]) / LN2)
+        return kept
+
+    _reference_stream(cfg, n_samples, seed, step)
+    return (McEstimate(mom1.mean, mom1.stderr, mom1.n, seed, discarded[0]),
+            McEstimate(mom2.mean, mom2.stderr, mom2.n, seed, discarded[0]))
+
+
+def _reference_imperfect(cfg, p, split, err, n_samples, seed):
+    mom = _Moments()
+
+    def step(rng, nb):
+        unit = _complex_gaussian(rng, (nb, cfg.na))
+        hn2 = err.sigma_hat2 * np.vecdot(unit, unit).real
+        mom.update(np.log1p(split.sigma_u2(p) * hn2 / (err.sigma_tilde2 * p + 1.0)) / LN2)
+        return nb
+
+    _reference_stream(cfg, n_samples, seed, step)
+    return McEstimate(mom.mean - capacity_eve(cfg, split), mom.stderr, mom.n, seed, 0)
+
+
+def _returns_within(seconds, call):
+    # run call on a helper thread so that a deadlock fails the test instead of
+    # hanging it; returns (seconds taken, exception raised or None)
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    helper = threading.Thread(target=run, daemon=True)
+    t0 = time.perf_counter()
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"the call did not return within {seconds} s"
+    return time.perf_counter() - t0, (raised or [None])[0]
 
 
 class TestTransmitFrame:
@@ -264,7 +325,12 @@ class TestMcCapacities:
         assert est2.mean == pytest.approx(want.mean, rel=1e-12, abs=0.0)
         assert est2.n_discarded == want.n_discarded == 0
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        # every argument is checked before the draw worker would start
+        def no_worker(thread):
+            raise AssertionError("a worker started before the arguments were checked")
+
+        monkeypatch.setattr(threading.Thread, "start", no_worker)
         cfg, s = SystemConfig(na=4, ne=2), PowerSplit(0.5)
         with pytest.raises(ValueError):
             mc_capacities(cfg, 10.0, s, n_samples=1, seed=0)
@@ -276,6 +342,145 @@ class TestMcCapacities:
             mc_capacities(cfg, 10.0, s, n_samples=True, seed=0)
         with pytest.raises(ValueError):
             mc_secrecy_rate_imperfect(cfg, 10.0, s, CsiError(0.1), n_samples=True, seed=0)
+        # only an exact int >= 0 names a reproducible stream: None would draw
+        # from OS entropy, True would run as 1
+        for seed in (None, True, 1.5, -1, np.int64(1), "1"):
+            with pytest.raises(ValueError, match="seed"):
+                mc_capacities(cfg, 10.0, s, n_samples=100, seed=seed)
+            with pytest.raises(ValueError, match="seed"):
+                mc_secrecy_rate_imperfect(cfg, 10.0, s, CsiError(0.1), n_samples=100, seed=seed)
+
+
+class TestDrawWorker:
+    # A worker thread draws each chunk in _BLOCK-draw blocks, one chunk ahead,
+    # while the caller solves the blocks; the estimates must be those of the
+    # reference loop above, which draws and solves each chunk whole.
+
+    @pytest.mark.parametrize(
+        "na,ne,n,seed",
+        [(4, 1, 4097, 1), (6, 5, 3 * 4096 + 17, 2), (3, 2, 100_000, 3), (8, 4, 140_000, 4),
+         (64, 16, 20_000, 5)],
+    )
+    def test_equals_reference_loop(self, na, ne, n, seed):
+        # block edges (4097, 3·4096 + 17), several chunks with a short tail
+        # (100 000 and 140 000 at chunk 65 536), and 3 906-draw chunks at (64, 16)
+        cfg, p, split, err = SystemConfig(na=na, ne=ne), 3.7, PowerSplit(0.4), CsiError(0.1)
+        assert mc_capacities(cfg, p, split, n, seed) == _reference_capacities(cfg, p, split, n, seed)
+        got = mc_secrecy_rate_imperfect(cfg, p, split, err, n, seed)
+        assert got == _reference_imperfect(cfg, p, split, err, n, seed)
+
+    @pytest.mark.parametrize("na,ne,n,seed", [(3, 2, 100_000, 6), (6, 5, 140_000, 8)])
+    def test_forced_discards_equal_reference_loop(self, na, ne, n, seed, monkeypatch):
+        # tight limits make draws fail the condition rule, so a later chunk's
+        # size depends on earlier discards: the chunk drawn ahead at the size
+        # it would have without them is drawn again, and a chunk past the
+        # planned ones is drawn from the next substream
+        monkeypatch.setattr(montecarlo, "COND_LIMIT", 1e4)
+        monkeypatch.setattr(montecarlo, "_TRACE_LIMIT", 1e4)
+        cfg, p, split, got = SystemConfig(na=na, ne=ne), 3.7, PowerSplit(0.4), []
+        # a chunk the caller waits for but the worker never draws fails here
+        _, exc = _returns_within(60.0, lambda: got.extend(mc_capacities(cfg, p, split, n, seed)))
+        assert exc is None
+        assert tuple(got) == _reference_capacities(cfg, p, split, n, seed)
+        for est in got:
+            assert est.n_samples == n
+            assert est.n_discarded > 0
+
+    def test_one_worker_per_call_and_none_after(self, monkeypatch):
+        before, alive = threading.active_count(), []
+        package_route = montecarlo._eve_mixed
+
+        def counting(h, g):
+            alive.append(threading.active_count())
+            return package_route(h, g)
+
+        monkeypatch.setattr(montecarlo, "_eve_mixed", counting)
+        mc_capacities(SystemConfig(na=3, ne=2), 3.7, PowerSplit(0.4), 100_000, seed=1)
+        assert len(alive) == 25 and set(alive) == {before + 1}  # 65 536 + 34 464 draws
+        assert threading.active_count() == before
+
+    def test_draw_buffer_kept_for_the_next_call(self):
+        # a call draws into the buffer an earlier, larger call left, and what
+        # that call drew there must not reach its estimates; a buffer past
+        # _TARGET_CHUNK_ELEMENTS entries is not kept
+        split = PowerSplit(0.4)
+        mc_capacities(SystemConfig(na=6, ne=3), 3.7, split, 100_000, seed=4)  # 2·65536·6·4 entries
+        spare, small = montecarlo._SPARE["draws"], SystemConfig(na=3, ne=2)
+        assert mc_capacities(small, 3.7, split, 10_000, 1) == _reference_capacities(small, 3.7, split, 10_000, 1)
+        assert montecarlo._SPARE["draws"] is spare
+        mc_capacities(SystemConfig(na=64, ne=16), 3.7, split, 4_000, seed=1)  # 2·3906·64·17 entries
+        assert montecarlo._SPARE["draws"].size == 0
+
+    def test_solve_failure_reaches_caller(self, monkeypatch):
+        package_route, calls = montecarlo._eve_mixed, []
+
+        def third_block_fails(h, g):
+            calls.append(len(h))
+            if len(calls) == 3:
+                raise RuntimeError("planted solve failure")
+            return package_route(h, g)
+
+        monkeypatch.setattr(montecarlo, "_eve_mixed", third_block_fails)
+        before = threading.active_count()
+        cfg, split = SystemConfig(na=6, ne=5), PowerSplit(0.4)
+        took, exc = _returns_within(10.0, lambda: mc_capacities(cfg, 3.7, split, 140_000, 1))
+        assert isinstance(exc, RuntimeError) and "planted" in str(exc)
+        assert took < 1.0  # the worker stops at its next block, mid-chunk
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # four calls at once, each with its own worker, while the interpreter
+        # switches threads every 10 us. Small blocks and tight limits put every
+        # call through both buffers, many blocks per chunk and a redrawn chunk,
+        # and the calls pass the kept draw buffer among them: a buffer refilled
+        # before its caller is done with it, or a block read before it is
+        # drawn, would change an estimate
+        monkeypatch.setattr(montecarlo, "_BLOCK", 512)
+        monkeypatch.setattr(montecarlo, "COND_LIMIT", 1e3)
+        monkeypatch.setattr(montecarlo, "_TRACE_LIMIT", 1e3)
+        cfg, split, seeds, n = SystemConfig(na=3, ne=2), PowerSplit(0.4), range(4), 70_000
+        want = [_reference_capacities(cfg, 3.7, split, n, seed) for seed in seeds]
+        got = {}
+
+        def calls():
+            threads = [threading.Thread(target=lambda seed=seed: got.update(
+                {seed: mc_capacities(cfg, 3.7, split, n, seed)})) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _, exc = _returns_within(60.0, calls)
+        finally:
+            sys.setswitchinterval(interval)
+        assert exc is None
+        assert [got.get(seed) for seed in seeds] == want
+        assert all(est.n_discarded > 0 for est, _ in want)
+
+    @pytest.mark.parametrize("fail_at", [1, 70])
+    def test_draw_failure_reaches_caller(self, fail_at, monkeypatch):
+        # call 1 fails before any block lands; call 70 falls in the second
+        # chunk, drawn ahead while the caller solves the first (4 parts of 16
+        # blocks)
+        package_draw, calls = montecarlo._draw, []
+
+        def failing_draw(rng, out):
+            calls.append(out.size)
+            if len(calls) == fail_at:
+                raise MemoryError("planted draw failure")
+            package_draw(rng, out)
+
+        monkeypatch.setattr(montecarlo, "_draw", failing_draw)
+        before = threading.active_count()
+        cfg, split = SystemConfig(na=3, ne=2), PowerSplit(0.4)
+        took, exc = _returns_within(10.0, lambda: mc_capacities(cfg, 3.7, split, 100_000, 1))
+        assert isinstance(exc, MemoryError) and "planted" in str(exc)
+        assert len(calls) == fail_at
+        assert took < 1.0
+        assert threading.active_count() == before
 
 
 class TestMoments:
