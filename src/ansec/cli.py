@@ -29,7 +29,15 @@ from .optimize import (
     optimize_phi,
     optimize_phi_adaptive,
 )
-from .secrecy import CsiError, PowerSplit, SystemConfig, _is_int, secrecy_rate
+from .secrecy import (
+    CsiError,
+    PowerSplit,
+    SystemConfig,
+    _is_int,
+    capacity_bob,
+    capacity_eve,
+    secrecy_rate,
+)
 
 _TABLE1_NA = (2, 4, 6, 8, 10)
 _TABLE1_S2 = (0.0, 0.1, 0.2)
@@ -179,14 +187,17 @@ def _fixed_phi(spec: RunSpec) -> float:
 def _sweep_rows(spec: RunSpec) -> _Rows:
     header = ["na", "ne", "snr_db", "phi", "sigma_tilde2", "c1", "c2", "c"]
     rows: list[list[object]] = []
+    cfg, err = spec.system, spec.csi_error
+    eve: dict[float, float] = {}  # C2 per split; it does not depend on power
     for snr in spec.snr_db:
         p = from_db(snr)
         split = _resolve_split(spec, p)
-        report = secrecy_rate(spec.system, p, split, spec.csi_error)
-        rows.append(
-            [spec.na, spec.ne, snr, split.phi, spec.sigma_tilde2,
-             report.c1, report.c2, report.c]
-        )
+        c1 = capacity_bob(cfg, p, split, err)
+        if split.phi not in eve:
+            eve[split.phi] = capacity_eve(cfg, split)
+        c2 = eve[split.phi]
+        rows.append([spec.na, spec.ne, snr, split.phi, spec.sigma_tilde2, c1, c2,
+                     max(c1 - c2, 0.0)])
     return header, rows, True
 
 

@@ -14,7 +14,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,24 +143,42 @@ def _dc2_at_end(na: int, ne: int, phi: float) -> float:
     return _dc2_nats_dz(na, ne, 1.0 / phi)
 
 
+def _first_peak(gap: Callable[[int], float]) -> int:
+    # Grid index of the first maximum of a gap that is unimodal over the grid:
+    # the first i with gap(i + 1) <= gap(i), by bisection on that sign. It
+    # reads at most 12 of the 65 points, some of them twice.
+    lo, hi = 0, _PHI_GRID_N - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if gap(mid + 1) > gap(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _maximize_over_grid(
     cfg: SystemConfig, bob: Callable[[float], float], bob_slope: Callable[[float], float],
-    values: Optional[list[float]] = None,
+    gap: Optional[Callable[[int], float]] = None,
 ) -> tuple[float, float, int]:
     # Maximize the clamped secrecy rate max(bob(phi) - C2(phi), 0), bob_slope
-    # being d bob/dz in nats. The best of the 65 grid rates (values, if given)
-    # and its neighbours (halfway to 0 or 1 at an edge) bracket the root of dR/dz.
+    # being d bob/dz in nats. gap(i) is the unclamped bob - C2 at grid point i;
+    # by default bob runs once at each point the search reads. The gap is
+    # unimodal in phi, so the best grid rate is at _first_peak, and its
+    # neighbours (halfway to 0 or 1 at an edge) bracket the root of dR/dz.
     # Returns (phi*, rate*, root steps); the best grid point when it beats the
-    # root, and rate 0 with no steps when no grid rate is positive.
+    # root, and the first grid point, rate 0 and no steps when no gap is positive.
     na, ne, grid = cfg.na, cfg.ne, _PHI_GRID
-    if values is None:
-        values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(na, ne))]
+    if gap is None:
+        eve = _eve_on_grid(na, ne)
+        gap = cache(lambda i: bob(grid[i]) - eve[i])
     if logger.isEnabledFor(logging.DEBUG):
-        for phi, val in zip(grid, values):
-            logger.debug("phi=%.6f rate=%.12g", phi, val)
-    best = max(range(_PHI_GRID_N), key=values.__getitem__)
-    if values[best] <= 0.0:
-        return grid[best], 0.0, 0
+        for i, phi in enumerate(grid):
+            logger.debug("phi=%.6f rate=%.12g", phi, max(gap(i), 0.0))
+    best = _first_peak(gap)
+    peak = gap(best)
+    if peak <= 0.0:
+        return grid[0], 0.0, 0
 
     def slope(phi: float) -> float:
         return bob_slope(1.0 / phi) - _dc2_nats_dz(na, ne, 1.0 / phi)
@@ -173,8 +191,8 @@ def _maximize_over_grid(
     else:
         phi, steps = _zeroin(slope, lo, hi, f_lo, f_hi, _PHI_TOL)
     rate = max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
-    if values[best] > rate:
-        return grid[best], values[best], steps
+    if peak > rate:
+        return grid[best], peak, steps
     return phi, rate, steps
 
 
@@ -185,12 +203,15 @@ def optimize_phi(
 ) -> OptResult:
     """Best fixed power split: maximize the secrecy rate over phi in (0, 1).
 
-    A 65-point grid brackets the maximum (the rate is unimodal in phi but
-    can be identically zero below the critical SNR), then Brent's method
-    solves dR/dz = 0 from the closed-form slopes of both capacities;
-    iterations counts its steps. With an all-zero grid the best grid point
+    The rate is unimodal in phi but can be identically zero below the
+    critical SNR. Bisection on the sign of its change between neighbours
+    of a 65-point grid finds the best grid point from at most 12 rates;
+    that point's neighbours bracket the maximum, and Brent's method solves
+    dR/dz = 0 there from the closed-form slopes of both capacities;
+    iterations counts its steps. With an all-zero grid the first grid point
     is returned with converged=False. When the "ansec" logger is enabled
-    for DEBUG, each grid point is logged as "phi=... rate=...".
+    for DEBUG, all 65 grid points are evaluated and logged as
+    "phi=... rate=...".
     """
 
     def bob(phi: float) -> float:
@@ -217,7 +238,7 @@ def _laguerre_rule(order: int, alpha: int) -> tuple[tuple[float, ...], tuple[flo
 
 
 def _best_rate_at_gain(
-    cfg: SystemConfig, p: float, gain: float, values: Optional[list[float]] = None
+    cfg: SystemConfig, p: float, gain: float, gap: Optional[Callable[[int], float]] = None
 ) -> float:
     # Largest clamped instantaneous secrecy rate for a known beamforming gain.
     t = p * gain
@@ -228,7 +249,7 @@ def _best_rate_at_gain(
     def bob_slope(z: float) -> float:
         return -t / (z * (z + t))
 
-    return _maximize_over_grid(cfg, bob, bob_slope, values)[1]
+    return _maximize_over_grid(cfg, bob, bob_slope, gap)[1]
 
 
 def optimize_phi_adaptive(
@@ -254,10 +275,10 @@ def optimize_phi_adaptive(
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")
     nodes, weights = _laguerre_rule(quadrature_order, cfg.na - 1)
-    # All nodes' grid rates at once; root rates keep math.log1p (np.log1p may differ)
+    # All nodes' grid gaps at once; root rates keep math.log1p (np.log1p may differ)
     bob = np.log1p(p * np.array(nodes)[:, None] / (1.0 / np.array(_PHI_GRID))) / LN2
-    rows = np.maximum(bob - np.array(_eve_on_grid(cfg.na, cfg.ne)), 0.0).tolist()
-    rates = (_best_rate_at_gain(cfg, p, g, row) for g, row in zip(nodes, rows))
+    rows = (bob - np.array(_eve_on_grid(cfg.na, cfg.ne))).tolist()
+    rates = (_best_rate_at_gain(cfg, p, g, row.__getitem__) for g, row in zip(nodes, rows))
     return math.fsum(w * rate for w, rate in zip(weights, rates))
 
 
@@ -317,14 +338,15 @@ def critical_snr_exact(
         return capacity_bob(cfg, p, split, err) - c2
 
     hi = _SNR_PROBE
-    if gap(hi) <= 0.0:
-        if err is not None and err.sigma_tilde2 > 0.0 and gap(math.inf) <= 0.0:
-            return math.inf
-        while gap(hi) <= 0.0:
-            hi *= 16.0
-            if hi > 1e300:
-                raise RuntimeError(f"the secrecy rate is still zero at p = {hi:g}, C2 = {c2!r}")
-    lo = hi
+    below = gap(hi) <= 0.0
+    if below and err is not None and err.sigma_tilde2 > 0.0 and gap(math.inf) <= 0.0:
+        return math.inf
+    while below:
+        hi *= 16.0
+        if hi > 1e300:
+            raise RuntimeError(f"the secrecy rate is still zero at p = {hi:g}, C2 = {c2!r}")
+        below = gap(hi) <= 0.0
+    lo = hi / 16.0  # each power is probed once: gap(hi) > 0 is known
     while gap(lo) > 0.0:
         lo /= 16.0
     while 10.0 * math.log10(hi / lo) > 1e-3:

@@ -176,6 +176,33 @@ class TestSweepCommand:
         assert code == 0
         assert out.read_text() == joined.read_text()
 
+    def test_fixed_split_takes_c2_once(self, tmp_path, monkeypatch):
+        # C2 does not depend on power: one evaluation serves all 30 points,
+        # and every row keeps the bits secrecy_rate gives
+        calls = 0
+        original = ansec.cli.capacity_eve
+
+        def counting(cfg, split):
+            nonlocal calls
+            calls += 1
+            return original(cfg, split)
+
+        monkeypatch.setattr(ansec.cli, "capacity_eve", counting)
+        code, out = run_to_file(
+            tmp_path, "sweep.csv",
+            ["sweep", "--na", "6", "--ne", "2", "--snr-db", "-10:19:1", "--phi", "0.4",
+             "--sigma-tilde2", "0.1"],
+        )
+        assert code == 0
+        assert calls == 1
+        records = read_run_csv(str(out))
+        assert len(records) == 30
+        for rec in records:
+            want = ansec.secrecy_rate(SystemConfig(6, 2), from_db(rec["snr_db"]),
+                                      ansec.PowerSplit(0.4), ansec.CsiError(0.1))
+            assert [rec["c1"], rec["c2"], rec["c"]] == [
+                float("%.12g" % v) for v in (want.c1, want.c2, want.c)]
+
 
 class TestOptPhiCommands:
     def test_opt_phi_row(self, tmp_path):

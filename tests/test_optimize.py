@@ -1,4 +1,5 @@
 """Power-split optimization, high-SNR roots, and critical-SNR solvers."""
+import logging
 import math
 import os
 import random
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import special
 
@@ -260,20 +262,178 @@ def golden_max(f, lo, hi, tol=1e-6):
     return x, f(x)
 
 
+def full_grid_best(cfg, bob, values=None):
+    # (index, clamped grid rates) of the exhaustive grid search: every grid
+    # rate (values, if given), then the first argmax of the clamped values
+    if values is None:
+        values = [max(bob(phi) - c2, 0.0)
+                  for phi, c2 in zip(_PHI_GRID, _eve_on_grid(cfg.na, cfg.ne))]
+    return max(range(len(_PHI_GRID)), key=values.__getitem__), values
+
+
+def bracket(best):
+    grid, n = _PHI_GRID, len(_PHI_GRID)
+    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
+    hi = grid[best + 1] if best < n - 1 else (grid[-1] + 1.0) / 2.0
+    return lo, hi
+
+
 def golden_reference(cfg, bob):
     # (phi*, rate*) of the clamped rate, as optimize_phi found them before
     def rate(phi):
         return max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
 
-    grid, n = _PHI_GRID, len(_PHI_GRID)
-    values = [max(bob(phi) - c2, 0.0) for phi, c2 in zip(grid, _eve_on_grid(cfg.na, cfg.ne))]
-    best = max(range(n), key=values.__getitem__)
+    best, values = full_grid_best(cfg, bob)
     if values[best] <= 0.0:
-        return grid[best], 0.0
-    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
-    hi = grid[best + 1] if best < n - 1 else (grid[-1] + 1.0) / 2.0
-    phi, r = golden_max(rate, lo, hi)
-    return (grid[best], values[best]) if values[best] > r else (phi, r)
+        return _PHI_GRID[best], 0.0
+    phi, r = golden_max(rate, *bracket(best))
+    return (_PHI_GRID[best], values[best]) if values[best] > r else (phi, r)
+
+
+def full_grid_maximize(cfg, bob, bob_slope, values=None):
+    # The maximizer with the exhaustive grid search in place of bisection:
+    # (best grid index, (phi*, rate*, root steps)).
+    na, ne = cfg.na, cfg.ne
+    best, values = full_grid_best(cfg, bob, values)
+    if values[best] <= 0.0:
+        return best, (_PHI_GRID[best], 0.0, 0)
+
+    def slope(phi):
+        return bob_slope(1.0 / phi) - ansec.optimize._dc2_nats_dz(na, ne, 1.0 / phi)
+
+    lo, hi = bracket(best)
+    f_lo, f_hi = (bob_slope(1.0 / end) - ansec.optimize._dc2_at_end(na, ne, end)
+                  for end in (lo, hi))
+    if f_lo * f_hi > 0.0:
+        phi, steps = (lo if f_lo > 0.0 else hi), 0
+    else:
+        phi, steps = ansec.optimize._zeroin(slope, lo, hi, f_lo, f_hi, ansec.optimize._PHI_TOL)
+    rate = max(bob(phi) - capacity_eve(cfg, PowerSplit(phi)), 0.0)
+    if values[best] > rate:
+        return best, (_PHI_GRID[best], values[best], steps)
+    return best, (phi, rate, steps)
+
+
+def full_grid_optimize_phi(cfg, p, err=None):
+    def bob(phi):
+        return capacity_bob(cfg, p, PowerSplit(phi), err)
+
+    def bob_slope(z):
+        return ansec.optimize._dc1_nats_dz(cfg.na, p, z, err)
+
+    phi, c, steps = full_grid_maximize(cfg, bob, bob_slope)[1]
+    return OptResult(phi, 1.0 / phi, c, steps, c > 0.0)
+
+
+def gain_functions(p, gain):
+    # Bob's rate and its z slope in nats at a known beamforming gain
+    t = p * gain
+    return (lambda phi: math.log1p(t / (1.0 / phi)) / LN2), (lambda z: -t / (z * (z + t)))
+
+
+def full_grid_adaptive(cfg, p, order):
+    nodes, weights = _laguerre_rule(order, cfg.na - 1)
+    bob = np.log1p(p * np.array(nodes)[:, None] / (1.0 / np.array(_PHI_GRID))) / LN2
+    rows = np.maximum(bob - np.array(_eve_on_grid(cfg.na, cfg.ne)), 0.0).tolist()
+    rates = (full_grid_maximize(cfg, *gain_functions(p, g), row)[1][1]
+             for g, row in zip(nodes, rows))
+    return math.fsum(w * rate for w, rate in zip(weights, rates))
+
+
+def bisection_cells():
+    # na from 2 to 1024, ne in {1, mid, na - 1}, SNR over -30..80 dB and
+    # every error variance, drawn from a fixed seed
+    rng = random.Random(22)
+    for na in (2, 3, 4, 5, 8, 13, 32, 100, 257, 1024):
+        for ne in sorted({1, na // 2, na - 1}):
+            for s2 in (0.0, 0.01, 0.3, 0.9):
+                err = CsiError(s2) if s2 or rng.random() < 0.5 else None
+                yield SystemConfig(na, ne), from_db(rng.uniform(-30.0, 80.0)), err
+
+
+class TestBisectedGridSearch:
+    # The search reads the grid only where bisection probes it; every result
+    # must equal the exhaustive search's, bit for bit.
+
+    def test_same_best_point_and_result_as_full_grid(self):
+        zero = positive = 0
+        for cfg, p, err in bisection_cells():
+            def bob(phi):
+                return capacity_bob(cfg, p, PowerSplit(phi), err)
+
+            gaps = [bob(phi) - c2 for phi, c2 in zip(_PHI_GRID, _eve_on_grid(cfg.na, cfg.ne))]
+            best, values = full_grid_best(cfg, bob)
+            found = ansec.optimize._first_peak(gaps.__getitem__)
+            if values[best] > 0.0:
+                positive += 1
+                assert found == best, (cfg, p, err)
+            else:
+                zero += 1
+                assert gaps[found] <= 0.0, (cfg, p, err)
+            assert optimize_phi(cfg, p, err) == full_grid_optimize_phi(cfg, p, err), (cfg, p, err)
+        assert zero >= 20 and positive >= 40  # both kinds of grid are covered
+
+    def test_first_peak_of_unimodal_sequences(self):
+        # rising, an optional plateau at the top, then falling: the first top
+        n = len(_PHI_GRID)
+        for top in range(n):
+            for width in (1, 2, 5):
+                seq = [min(i, top) - max(i - top - width + 1, 0) * 2.0 for i in range(n)]
+                assert ansec.optimize._first_peak(seq.__getitem__) == top, (top, width)
+
+    def test_adaptive_gains_and_rates_match_full_grid(self):
+        for i, (cfg, p, err) in enumerate(bisection_cells()):
+            if i % 4:
+                continue
+            nodes = _laguerre_rule(16, cfg.na - 1)[0]
+            for g in nodes[::3]:
+                got = ansec.optimize._best_rate_at_gain(cfg, p, g)
+                assert got == full_grid_maximize(cfg, *gain_functions(p, g))[1][1], (cfg, p, g)
+            want = full_grid_adaptive(cfg, p, 16)
+            assert optimize_phi_adaptive(cfg, p, 16) == want, (cfg, p)
+
+    def test_adaptive_pins_match_full_grid(self):
+        # at (2, 1, -10 dB) and (5, 4, 2 dB) some of the 64 nodes have a gap
+        # that is negative over many first grid points and positive further
+        # on, where a search on the clamped rates would stop at zero
+        for na, ne, p_db in [*sorted(TestEveGridTable.ADAPTIVE_ORACLE), (2, 1, -10.0),
+                             (5, 4, 2.0)]:
+            cfg, p = SystemConfig(na, ne), from_db(p_db)
+            assert optimize_phi_adaptive(cfg, p) == full_grid_adaptive(cfg, p, 64)
+
+    @staticmethod
+    def count_bob(monkeypatch):
+        calls = []
+        original = ansec.optimize.capacity_bob
+
+        def counting(cfg, p, split, err=None):
+            calls.append(split.phi)
+            return original(cfg, p, split, err)
+
+        monkeypatch.setattr(ansec.optimize, "capacity_bob", counting)
+        return calls
+
+    def test_at_most_13_bob_calls_on_a_warm_table(self, monkeypatch):
+        # 12 grid points at most, then the rate at the root; the exhaustive
+        # search took all 65 grid points
+        cells = list(bisection_cells())
+        for cfg, _, _ in cells:
+            _eve_on_grid(cfg.na, cfg.ne)
+        calls = self.count_bob(monkeypatch)
+        for cfg, p, err in cells:
+            calls.clear()
+            optimize_phi(cfg, p, err)
+            assert len(calls) <= 13, (cfg, p, err)
+
+    def test_debug_reads_each_grid_point_once(self, monkeypatch, caplog):
+        cfg, p = SystemConfig(5, 2), from_db(12.0)
+        _eve_on_grid(cfg.na, cfg.ne)
+        calls = self.count_bob(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="ansec"):
+            res = optimize_phi(cfg, p)
+        assert len(caplog.records) == 65 and len(calls) == 66
+        assert sorted(set(calls) & set(_PHI_GRID)) == list(_PHI_GRID)
+        assert res == full_grid_optimize_phi(cfg, p)
 
 
 class TestAgainstGoldenSection:
@@ -489,6 +649,26 @@ class TestCriticalSnr:
     def test_result_invariant_validation(self):
         with pytest.raises(ValueError):
             CriticalSnr(p_c_bound=1.0, p_c_exact=2.0)
+
+    @pytest.mark.parametrize(
+        "na,phi,s2,calls",
+        [(4, 0.5, 0.0, 24), (10, 0.5, 0.2, 24), (2, 1.0 - 1e-7, 0.0, 17), (2, 0.5, 0.5, 2)],
+    )
+    def test_bracket_ends_probed_once(self, na, phi, s2, calls, monkeypatch):
+        # Bob's capacity once at the first probe, at each power past it as the
+        # bracket grows, and at inf when estimation error may cap the rate;
+        # reading the upper end again took one more call (two when it grew)
+        powers = []
+        original = ansec.optimize.capacity_bob
+
+        def counting(cfg, p, split, err=None):
+            powers.append(p)
+            return original(cfg, p, split, err)
+
+        monkeypatch.setattr(ansec.optimize, "capacity_bob", counting)
+        critical_snr_exact(SystemConfig(na), PowerSplit(phi), CsiError(s2) if s2 else None)
+        assert powers[0] == ansec.optimize._SNR_PROBE
+        assert len(powers) == calls
 
 
 class TestImportCost:
