@@ -38,6 +38,7 @@ _PHI_GRID_N = 65  # coarse bracketing grid before the root refinement
 _PHI_GRID = tuple((i + 1) / (_PHI_GRID_N + 1) for i in range(_PHI_GRID_N))
 _EVE_GRID_CACHE_SIZE = 256  # (na, ne) tables of C2 kept by _eve_on_grid
 _PHI_TOL = 1e-10  # root tolerance in phi, on top of 4 ulps
+_BOUND_MARGIN = 1.0 + 2.0**-40  # relative slack of the adaptive sum's term bounds
 _SNR_PROBE = 1e6  # first upper bracket of the critical SNR, 60 dB
 _REGIMES = ("exact", "exact-ne1", "na2-closed", "large-na", "large-na-asymptotic")
 
@@ -237,6 +238,12 @@ def _laguerre_rule(order: int, alpha: int) -> tuple[tuple[float, ...], tuple[flo
     return tuple(nodes.tolist()), tuple((weights / weights.sum()).tolist())
 
 
+def _term_bounds(gains: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
+    # w log2(1 + t) bounds a node's term w * rate at gain t, as phi < 1 and C2 >= 0;
+    # the margin covers np.log1p against math.log1p and the roundings on the way
+    return np.array(weights) * (np.log1p(gains) / LN2 * _BOUND_MARGIN)
+
+
 def _best_rate_at_gain(
     cfg: SystemConfig, p: float, gain: float, gap: Optional[Callable[[int], float]] = None
 ) -> float:
@@ -263,7 +270,10 @@ def optimize_phi_adaptive(
     Gamma(na, 1)-distributed gain uses a normalized Gauss-Laguerre rule.
     At every node t = p |h|^2 the inner maximum is the root of
     dR/dz = -t/(z(z+t)) - dC2/dz, found as in optimize_phi; all nodes share
-    one grid table of C2. Never below the fixed-split optimum, and
+    one grid table of C2. Nodes are solved in descending order of their
+    term bounds w log2(1 + t) until the unsolved bounds cannot change the
+    rounded sum, so the result is the all-node math.fsum bit for bit. p
+    must be finite. Never below the fixed-split optimum, and
     noticeably above it only near the critical SNR: less than about 3 dB
     above the equal-split threshold. Elsewhere the gain is small and shrinks
     as power or antennas grow.
@@ -272,14 +282,28 @@ def optimize_phi_adaptive(
         raise ValueError(  # the rule's dense eigenproblem costs order^2 doubles
             f"quadrature_order must be an integer in [2, 1024], got {quadrature_order!r}"
         )
-    if not p > 0:
-        raise ValueError(f"power must be positive, got {p!r}")
+    if not 0 < p < math.inf:  # perfect estimates give no finite rate at p = inf
+        raise ValueError(f"power must be positive and finite without a channel-estimation "
+                         f"error, got {p!r}")
     nodes, weights = _laguerre_rule(quadrature_order, cfg.na - 1)
+    gains = p * np.array(nodes)
     # All nodes' grid gaps at once; root rates keep math.log1p (np.log1p may differ)
-    bob = np.log1p(p * np.array(nodes)[:, None] / (1.0 / np.array(_PHI_GRID))) / LN2
+    bob = np.log1p(gains[:, None] / (1.0 / np.array(_PHI_GRID))) / LN2
     rows = (bob - np.array(_eve_on_grid(cfg.na, cfg.ne))).tolist()
-    rates = (_best_rate_at_gain(cfg, p, g, row.__getitem__) for g, row in zip(nodes, rows))
-    return math.fsum(w * rate for w, rate in zip(weights, rates))
+    bounds = _term_bounds(gains, weights)
+    ranked = np.argsort(-bounds, kind="stable")
+    # tails[i] bounds the terms of ranked[i:], summed from the smallest up (a
+    # running subtraction reaches 0 too early), with a margin for its roundings
+    tails = (np.cumsum(bounds[ranked[::-1]])[::-1] * _BOUND_MARGIN).tolist()
+    parts, total = [], 0.0
+    for k, rest in zip(ranked.tolist(), tails):
+        # the unsolved terms lie in [0, rest] and rounding is monotone: once rest
+        # cannot move the rounded sum, neither can they (fsum runs only near there)
+        if rest <= 2.0**-50 * total and math.fsum(parts) == math.fsum(parts + [rest]):
+            break
+        parts.append(weights[k] * _best_rate_at_gain(cfg, p, nodes[k], rows[k].__getitem__))
+        total += parts[-1]
+    return math.fsum(parts)
 
 
 def high_snr_optimal_z(cfg: SystemConfig, regime: str) -> float:

@@ -128,10 +128,13 @@ def capacity_bob(
     At sigma_tilde2 = 0 the added term is exactly 0.0 and the divisor
     exactly 1.0, so CsiError(0.0) and err=None give the same result bit
     for bit; and as p -> inf the argument stays finite, giving the
-    capacity ceiling that estimation error imposes.
+    capacity ceiling that estimation error imposes; without estimation
+    error p = inf raises ValueError.
     """
     if not p > 0:
         raise ValueError(f"power must be positive, got {p!r}")
+    if p == math.inf and (err is None or err.sigma_tilde2 == 0.0):  # no finite limit
+        raise ValueError(f"power {p!r} needs a channel-estimation error sigma_tilde2 > 0")
     return specfun.scaled_expint_sum(cfg.na, _bob_arg(p, split.z, err)) / LN2
 
 

@@ -74,6 +74,19 @@ class TestOptimizePhi:
         res = optimize_phi(SystemConfig(na=64), 1e3)
         assert abs(res.phi_star - 0.55) <= 0.01
 
+    @pytest.mark.parametrize("err", [None, CsiError(0.0)])
+    def test_infinite_power_needs_estimation_error(self, err):
+        # specfun used to raise "the scaled sum needs x > 0, got x=0.0"
+        with pytest.raises(ValueError, match=r"power inf needs a channel-estimation error"):
+            optimize_phi(SystemConfig(na=4), math.inf, err)
+
+    def test_infinite_power_with_estimation_error(self):
+        # the capacity ceiling that critical_snr_exact probes, maximized over phi
+        res = optimize_phi(SystemConfig(na=4), math.inf, CsiError(0.1))
+        assert res.converged
+        assert abs(res.phi_star - 0.5174) <= 5e-5 and abs(res.c_star - 3.0639) <= 5e-5
+        assert res.c_star > optimize_phi(SystemConfig(na=4), 1e6, CsiError(0.1)).c_star
+
     def test_result_is_self_consistent(self):
         cfg, p = SystemConfig(na=8, ne=2), 50.0
         res = optimize_phi(cfg, p)
@@ -158,6 +171,11 @@ class TestAdaptiveSplit:
         with pytest.raises(ValueError, match=r"\[2, 1024\]"):
             optimize_phi_adaptive(SystemConfig(na=4), 10.0, quadrature_order=1025)
 
+    def test_infinite_power_names_the_missing_error(self):
+        # the sum used to come back inf without complaint
+        with pytest.raises(ValueError, match=r"finite without a channel-estimation error, got inf"):
+            optimize_phi_adaptive(SystemConfig(na=4), math.inf)
+
 
 class TestLaguerreRule:
     # Golub-Welsch on the Laguerre Jacobi matrix, normalized to the
@@ -198,10 +216,11 @@ class TestEveGridTable:
         _eve_on_grid.cache_clear()
         monkeypatch.setattr(ansec.optimize, "capacity_eve", counting)
         optimize_phi_adaptive(SystemConfig(2), from_db(6.3))
-        # one 65-point table plus the rate at each node's root; rebuilding the
-        # table at each of the 64 Laguerre nodes costs about 4.2k calls, and
-        # golden section on rate values took about 1.5k
-        assert calls <= 65 + 64
+        # one 65-point table plus the rate at each solved node's root: 28 calls,
+        # as the certified stop solves 32 of the 64 Laguerre nodes here and 4 of
+        # those have no positive gap. Rebuilding the table at every node cost
+        # about 4.2k calls, and golden section on rate values took about 1.5k
+        assert calls <= 65 + 32
 
     # The same 64-node Laguerre rule with every inner maximum found by a
     # 400-point log grid in z plus golden section to 1e-11, on C2 from
@@ -331,13 +350,19 @@ def gain_functions(p, gain):
     return (lambda phi: math.log1p(t / (1.0 / phi)) / LN2), (lambda z: -t / (z * (z + t)))
 
 
-def full_grid_adaptive(cfg, p, order):
+def full_grid_terms(cfg, p, order):
+    # w * rate at every node of the rule, in node order
     nodes, weights = _laguerre_rule(order, cfg.na - 1)
     bob = np.log1p(p * np.array(nodes)[:, None] / (1.0 / np.array(_PHI_GRID))) / LN2
     rows = np.maximum(bob - np.array(_eve_on_grid(cfg.na, cfg.ne)), 0.0).tolist()
     rates = (full_grid_maximize(cfg, *gain_functions(p, g), row)[1][1]
              for g, row in zip(nodes, rows))
-    return math.fsum(w * rate for w, rate in zip(weights, rates))
+    return [w * rate for w, rate in zip(weights, rates)]
+
+
+def full_grid_adaptive(cfg, p, order):
+    # the sum over all nodes, with none skipped
+    return math.fsum(full_grid_terms(cfg, p, order))
 
 
 def bisection_cells():
@@ -434,6 +459,71 @@ class TestBisectedGridSearch:
         assert len(caplog.records) == 65 and len(calls) == 66
         assert sorted(set(calls) & set(_PHI_GRID)) == list(_PHI_GRID)
         assert res == full_grid_optimize_phi(cfg, p)
+
+
+def certified_stop_cells():
+    # na from 2 to 1024, ne in {1, mid, na - 1}, orders from 2 to 1024 (from
+    # 256 on the smallest weights underflow to 0.0), SNR over -30..80 dB, and
+    # a power below the equal split's critical SNR, where only the strongest
+    # realizations earn any rate. Order 1024, at 0.1-0.2 s a cell, runs at
+    # ne = 1 and four na only.
+    rng = random.Random(23)
+    for na in (2, 3, 4, 8, 13, 32, 100, 257, 1024):
+        for ne in sorted({1, na // 2, na - 1}):
+            cfg = SystemConfig(na, ne)
+            below = critical_snr_exact(cfg, PowerSplit(0.5)) * rng.uniform(0.3, 0.9)
+            for i, order in enumerate((2, 16, 64, 256, 1024)):
+                if order == 1024 and (ne > 1 or na not in (2, 8, 100, 1024)):
+                    continue
+                draws = 4 if order <= 16 else 2
+                powers = [from_db(rng.uniform(-30.0, 80.0)) for _ in range(draws)]
+                if i == (na + ne) % 4:
+                    powers.append(below)
+                for p in powers:
+                    yield cfg, p, order
+
+
+class TestCertifiedQuadratureStop:
+    # optimize_phi_adaptive solves nodes in descending order of their term
+    # bounds and stops once the unsolved bounds cannot move the rounded sum;
+    # it must return the all-node sum bit for bit.
+
+    def test_same_sum_as_every_node_and_terms_within_bounds(self):
+        cells = zero = small = underflow = 0
+        for cfg, p, order in certified_stop_cells():
+            nodes, weights = _laguerre_rule(order, cfg.na - 1)
+            terms = full_grid_terms(cfg, p, order)
+            want = math.fsum(terms)
+            assert optimize_phi_adaptive(cfg, p, order) == want, (cfg, p, order)
+            bounds = ansec.optimize._term_bounds(p * np.array(nodes), weights).tolist()
+            for g, w, term, b in zip(nodes, weights, terms, bounds):
+                assert 0.0 <= term <= b, (cfg, p, order, g)
+                # at least half the 2^-40 margin stays over w log2(1 + t), so
+                # it covers the roundings of the rate and of the product
+                assert b >= w * (math.log1p(p * g) / LN2) * (1.0 + 2.0**-41), (cfg, p, order, g)
+            cells += 1
+            zero += want == 0.0
+            small += 0.0 < want < 0.05
+            underflow += weights[-1] == 0.0
+        # every kind of cell is covered
+        assert cells >= 300 and zero >= 20 and small >= 10 and underflow >= 40
+
+    def test_solves_fewer_nodes_at_a_bench_cell(self, monkeypatch):
+        # 8 antennas, one eavesdropper at 20 dB: the stop comes after 36 of the
+        # 64 nodes, where every node was solved before
+        calls = 0
+        original = ansec.optimize._best_rate_at_gain
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(ansec.optimize, "_best_rate_at_gain", counting)
+        cfg, p = SystemConfig(8, 1), from_db(20.0)
+        got = optimize_phi_adaptive(cfg, p)
+        assert calls < 48
+        assert got == full_grid_adaptive(cfg, p, 64)
 
 
 class TestAgainstGoldenSection:

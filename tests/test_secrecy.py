@@ -337,19 +337,63 @@ class TestCapacityEve:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def hyp2f1_1b_near_one(c: int, y: mpmath.mpf) -> list:
+    # 2F1(1, b; c; 1 - y) for b = 1 .. c - 1 and 0 < y <= 1/4, by the
+    # logarithmic connection formula (DLMF 15.8.10 with a = 1, m = c - 1 - b,
+    # n = b + m = c - 1; the digammas reduce to harmonic numbers):
+    #   F = n/m! sum_{j<m} (b)_j (m-j-1)! (-y)^j - n C(n-1, b-1) (-y)^m S,
+    #   S = sum_j (n)_j/j! y^j (ln y + H_{n+j-1} - H_j),
+    # where S is the same for every b. Its terms sum in size to about
+    # (1 - y)^-n while S stays near -1/n (at n = 63 and y = 1/4 its largest
+    # term is 1.2e7 times S), so the digits that cancel are added on top of 40.
+    n = c - 1
+    with mpmath.workdps(40 + int(n * mpmath.log10(1 / (1 - mpmath.mpf(y))))):
+        y = mpmath.mpf(y)
+        ln_y = mpmath.log(y)
+        s = mag = h_j = mpmath.mpf(0)
+        t, h_top, j = mpmath.mpf(1), mpmath.fsum(mpmath.mpf(1) / i for i in range(1, n)), 0
+        while True:
+            term = t * (ln_y + h_top - h_j)
+            s, mag = s + term, mag + abs(term)
+            if j >= n and abs(term) <= mpmath.eps * mag:  # the rest falls by y(n+j)/j <= 1/2
+                break
+            j += 1
+            t *= (n + j - 1) * y / j
+            h_top += mpmath.mpf(1) / (n + j - 1)
+            h_j += mpmath.mpf(1) / j
+        out = []
+        for b in range(1, c):
+            m = n - b
+            head = mpmath.fsum(mpmath.rf(b, j) * mpmath.factorial(m - j - 1) * (-y) ** j
+                               for j in range(m))
+            out.append(n / mpmath.factorial(m) * head
+                       - n * mpmath.binomial(n - 1, b - 1) * (-y) ** m * s)
+    return out
+
+
 def eve_terms_oracle(na: int, z: float) -> list:
     # the C2 terms in nats, a/((z-1)(a-k)) 2F1(1, k+1; na; x) for every
     # k < a = na - 1, at 30 digits and at the float z itself: rounding z
-    # moves C2 by about 1e-16/(z - 1) relative. For -3 <= x < 0 the Pfaff
-    # form 2F1(1, na-k-1; na; u)/(a-k), u = x/(x-1) = (na-z)/a <= 3/4, is
-    # the same value, which mpmath finds up to 200 times faster there.
+    # moves C2 by about 1e-16/(z - 1) relative. For x < 0 the Pfaff form
+    # 2F1(1, na-k-1; na; u)/(a-k), u = x/(x-1) = (na-z)/a, is the same value,
+    # which mpmath finds up to 200 times faster for -3 <= x < 0 (u <= 3/4).
+    # Past 3/4, in x or in u, mpmath's degenerate-parameter transformations
+    # take up to 0.9 s a call, so the connection series above serves there,
+    # from 1 - x = a/y or 1 - u = y/a computed directly: it holds even where
+    # x rounds to 1 at 30 digits.
     with mpmath.workdps(30):
         zm = mpmath.mpf(z)
         a = na - 1
         x = 1 - a / (zm - 1)  # 1 - x = a/y
-        if -3 <= x < 0:
+        if x < -3:
+            f = hyp2f1_1b_near_one(na, (zm - 1) / a)[::-1]
+            return [f[k] / (a - k) for k in range(a)]
+        if x < 0:
             u = (na - zm) / a
             return [mpmath.hyp2f1(1, na - k - 1, na, u) / (a - k) for k in range(a)]
+        if x > 0.75:
+            f = hyp2f1_1b_near_one(na, a / (zm - 1))
+            return [a / ((zm - 1) * (a - k)) * f[k] for k in range(a)]
         return [a / ((zm - 1) * (a - k)) * mpmath.hyp2f1(1, k + 1, na, x) for k in range(a)]
 
 
@@ -458,10 +502,10 @@ class TestEveOrdersOracle:
     @pytest.mark.parametrize("na", [4, 8])
     @pytest.mark.parametrize("phi", [1e-300, 1e-308])
     def test_vanishing_information_power(self, na, phi):
-        # z = 1/phi: 1 - x = a/y is below 1e-298, so at 30 digits x is 1 and the
-        # oracle's 2F1(1, k+1; na; 1) is Gauss's sum, off by O(a/y); it is
-        # finite for k < na - 2, the top order growing like ln(y/a). At 1e-308
-        # the downward steps must divide by y last, or y (a - k + 1) overflows
+        # z = 1/phi: 1 - x = a/y is below 1e-298, which the oracle's connection
+        # series takes directly (x itself is 1 at 30 digits); the top order
+        # grows like ln(y/a). At 1e-308 the downward steps must divide by y
+        # last, or y (a - k + 1) overflows
         split = PowerSplit(phi)
         terms = eve_terms_oracle(na, split.z)
         with mpmath.workdps(30):
@@ -778,6 +822,15 @@ class TestImperfectCsi:
         ceiling = scaled_expint_sum(4, s.z * err.sigma_tilde2 / err.sigma_hat2) / LN2
         assert capacity_bob(cfg, math.inf, s, err) == ceiling
         assert capacity_bob(cfg, 1e6, s, err) < ceiling
+
+    @pytest.mark.parametrize("err", [None, CsiError(0.0)])
+    def test_infinite_power_without_error_is_refused(self, err):
+        # perfect estimates give no ceiling; specfun's x > 0 message named neither
+        cfg, s = SystemConfig(na=4), PowerSplit(0.5)
+        with pytest.raises(ValueError, match=r"power inf needs a channel-estimation error"):
+            capacity_bob(cfg, math.inf, s, err)
+        with pytest.raises(ValueError, match=r"power inf needs a channel-estimation error"):
+            secrecy_rate(cfg, math.inf, s, err)
 
     def test_monotone_in_error(self):
         cfg, p, s = SystemConfig(na=6), 20.0, PowerSplit(0.5)
