@@ -30,7 +30,7 @@ from .secrecy import (
     capacity_bob,
     capacity_eve,
 )
-from .specfun import scaled_expint_en
+from .specfun import scaled_expint_en, scaled_expint_sum
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +39,6 @@ _PHI_GRID = tuple((i + 1) / (_PHI_GRID_N + 1) for i in range(_PHI_GRID_N))
 _EVE_GRID_CACHE_SIZE = 256  # (na, ne) tables of C2 kept by _eve_on_grid
 _PHI_TOL = 1e-10  # root tolerance in phi, on top of 4 ulps
 _BOUND_MARGIN = 1.0 + 2.0**-40  # relative slack of the adaptive sum's term bounds
-_SNR_PROBE = 1e6  # first upper bracket of the critical SNR, 60 dB
 _REGIMES = ("exact", "exact-ne1", "na2-closed", "large-na", "large-na-asymptotic")
 
 
@@ -59,8 +58,8 @@ class CriticalSnr:
     """Smallest total power with positive secrecy rate, linear scale.
 
     p_c_bound is the analytic upper bound (inf when it gives no finite
-    value); p_c_exact is the bisected crossover of the two capacities,
-    or None when it was not computed.
+    value); p_c_exact is the crossover of the two capacities, or None
+    when it was not computed.
     """
 
     p_c_bound: float
@@ -273,19 +272,20 @@ def optimize_phi_adaptive(
     one grid table of C2. Nodes are solved in descending order of their
     term bounds w log2(1 + t) until the unsolved bounds cannot change the
     rounded sum, so the result is the all-node math.fsum bit for bit. p
-    must be finite. Never below the fixed-split optimum, and
-    noticeably above it only near the critical SNR: less than about 3 dB
-    above the equal-split threshold. Elsewhere the gain is small and shrinks
-    as power or antennas grow.
+    times the largest node must be finite, else ValueError. Never below
+    the fixed-split optimum, and noticeably above it only near the critical
+    SNR: less than about 3 dB above the equal-split threshold. Elsewhere the
+    gain is small and shrinks as power or antennas grow.
     """
     if not _is_int(quadrature_order) or not 2 <= quadrature_order <= 1024:
         raise ValueError(  # the rule's dense eigenproblem costs order^2 doubles
             f"quadrature_order must be an integer in [2, 1024], got {quadrature_order!r}"
         )
-    if not 0 < p < math.inf:  # perfect estimates give no finite rate at p = inf
-        raise ValueError(f"power must be positive and finite without a channel-estimation "
-                         f"error, got {p!r}")
     nodes, weights = _laguerre_rule(quadrature_order, cfg.na - 1)
+    if not 0 < p * nodes[-1] < math.inf:  # perfect estimates give no finite rate at p = inf
+        raise ValueError(f"power must be positive and finite without a channel-estimation "
+                         f"error, got {p!r}; times the largest Laguerre node {nodes[-1]!r} "
+                         f"it is {p * nodes[-1]!r}")
     gains = p * np.array(nodes)
     # All nodes' grid gaps at once; root rates keep math.log1p (np.log1p may differ)
     bob = np.log1p(gains[:, None] / (1.0 / np.array(_PHI_GRID))) / LN2
@@ -346,40 +346,47 @@ def high_snr_optimal_z(cfg: SystemConfig, regime: str) -> float:
     return _zeroin(f, lo, hi, f_lo, f_hi, 0.0)[0]
 
 
+def _bound_arg(cfg: SystemConfig, split: PowerSplit) -> tuple[float, float]:
+    # (C2 in nats, the bound's Bob argument A = na/C2 - (na+1)/2), A <= w* (the paper's bound)
+    c2 = capacity_eve(cfg, split) * LN2
+    if c2 == 0.0 or math.isinf(cfg.na / c2):
+        raise ValueError(f"na/C2 overflows at phi = {split.phi!r}: C2 = {c2!r} nats")
+    return c2, cfg.na / c2 - (cfg.na + 1.0) / 2.0
+
+
+def _power_at(w: float, z: float, err: Optional[CsiError]) -> float:
+    # The power p with _bob_arg(p, z, err) = w, falling in w; inf when no power has it.
+    s2 = err.sigma_tilde2 if err is not None else 0.0
+    denom = (1.0 - s2) * w / z - s2
+    return 1.0 / denom if denom > 0.0 else math.inf
+
+
 def critical_snr_exact(
     cfg: SystemConfig, split: PowerSplit, err: Optional[CsiError] = None
 ) -> float:
     """Power where Bob's capacity first exceeds the eavesdroppers', linear.
 
-    Bisected in log-power until the bracket is tighter than 0.001 dB. The
-    upper bracket starts at 60 dB and grows 16-fold while the rate is zero
-    there. inf means estimation error caps Bob's capacity at or below the
-    eavesdroppers'; RuntimeError means the rate is still zero past 1e300.
+    Bob's capacity C1 falls strictly in the argument w of his exponential
+    integrals, so Brent's method finds the root w* of C1(w) = C2 (nats)
+    between max(A, na e^(-1/na - C2)) (digamma) and na/expm1(C2) (1 + 2^-20)
+    (Jensen), A being the bound's argument, and maps it to power as the bound
+    maps A: so the result is at most the bound, and equals it if C1(A) <= C2.
+    inf means estimation error caps C1 at or below C2; RuntimeError means C2
+    is infinite, ValueError that na/C2 overflows.
     """
-    c2 = capacity_eve(cfg, split)
+    c2, a_term = _bound_arg(cfg, split)
+    if math.isinf(c2):
+        raise RuntimeError(f"the secrecy rate is still zero at p = inf, C2 = {c2!r} nats")
 
-    def gap(p: float) -> float:
-        return capacity_bob(cfg, p, split, err) - c2
+    def excess(w: float) -> float:
+        return scaled_expint_sum(cfg.na, w) - c2
 
-    hi = _SNR_PROBE
-    below = gap(hi) <= 0.0
-    if below and err is not None and err.sigma_tilde2 > 0.0 and gap(math.inf) <= 0.0:
-        return math.inf
-    while below:
-        hi *= 16.0
-        if hi > 1e300:
-            raise RuntimeError(f"the secrecy rate is still zero at p = {hi:g}, C2 = {c2!r}")
-        below = gap(hi) <= 0.0
-    lo = hi / 16.0  # each power is probed once: gap(hi) > 0 is known
-    while gap(lo) > 0.0:
-        lo /= 16.0
-    while 10.0 * math.log10(hi / lo) > 1e-3:
-        mid = math.sqrt(hi * lo)
-        if gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return math.sqrt(hi * lo)
+    w = max(a_term, cfg.na * math.exp(-1.0 / cfg.na - c2))
+    f_w = excess(w)
+    if f_w > 0.0:  # else w* is this lower end to rounding
+        hi = cfg.na / math.expm1(c2) * (1.0 + 2.0**-20)  # the margin outlasts rounding
+        w = _zeroin(excess, w, hi, f_w, excess(hi), 0.0)[0]
+    return _power_at(w, split.z, err)
 
 
 def critical_snr_upper_bound(
@@ -392,15 +399,9 @@ def critical_snr_upper_bound(
     eavesdroppers' capacity in nats (s2 = 0 recovers z / A). When the
     denominator is nonpositive the bound gives no finite value and inf is
     returned; the exact threshold can still be finite, and at s2 = 0 it
-    always is.
+    always is. ValueError means phi is so small that na / D overflows.
     """
-    d_nats = capacity_eve(cfg, split) * LN2
-    a_term = cfg.na / d_nats - (cfg.na + 1.0) / 2.0
-    s2 = err.sigma_tilde2 if err is not None else 0.0
-    denom = (1.0 - s2) * a_term / split.z - s2
-    if denom <= 0.0:
-        return math.inf
-    return 1.0 / denom
+    return _power_at(_bound_arg(cfg, split)[1], split.z, err)
 
 
 def critical_snr(

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -175,6 +176,17 @@ class TestAdaptiveSplit:
         # the sum used to come back inf without complaint
         with pytest.raises(ValueError, match=r"finite without a channel-estimation error, got inf"):
             optimize_phi_adaptive(SystemConfig(na=4), math.inf)
+
+    def test_overflowing_gain_names_power_and_node(self):
+        # p times the largest of the 64 nodes (240.59 at na = 4) overflows from
+        # about 7.5e305 on; the sum used to come back inf with a numpy warning
+        cfg = SystemConfig(4, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimize_phi_adaptive(cfg, 3e305) == 1013.4946540299713
+            with pytest.raises(ValueError, match=r"got 1e\+306; times the largest Laguerre "
+                                                 r"node 240\.59\d* it is inf"):
+                optimize_phi_adaptive(cfg, 1e306)
 
 
 class TestLaguerreRule:
@@ -741,24 +753,141 @@ class TestCriticalSnr:
             CriticalSnr(p_c_bound=1.0, p_c_exact=2.0)
 
     @pytest.mark.parametrize(
-        "na,phi,s2,calls",
-        [(4, 0.5, 0.0, 24), (10, 0.5, 0.2, 24), (2, 1.0 - 1e-7, 0.0, 17), (2, 0.5, 0.5, 2)],
+        "na,phi,s2", [(4, 0.5, 0.0), (10, 0.5, 0.2), (2, 1.0 - 1e-7, 0.0), (2, 0.5, 0.5)]
     )
-    def test_bracket_ends_probed_once(self, na, phi, s2, calls, monkeypatch):
-        # Bob's capacity once at the first probe, at each power past it as the
-        # bracket grows, and at inf when estimation error may cap the rate;
-        # reading the upper end again took one more call (two when it grew)
-        powers = []
-        original = ansec.optimize.capacity_bob
+    def test_bob_sum_runs_at_most_ten_times(self, na, phi, s2, monkeypatch):
+        # one Brent root in Bob's argument w: the sum runs at the lower bracket
+        # end, then at the upper end and each Brent step only if the lower end
+        # has C1 > C2; capacity_bob and its power hunts are gone
+        sums = []
+        original = ansec.optimize.scaled_expint_sum
 
-        def counting(cfg, p, split, err=None):
-            powers.append(p)
-            return original(cfg, p, split, err)
+        def counting(n, w):
+            sums.append(w)
+            return original(n, w)
 
-        monkeypatch.setattr(ansec.optimize, "capacity_bob", counting)
+        def forbidden(*args):
+            raise AssertionError("capacity_bob was called")
+
+        monkeypatch.setattr(ansec.optimize, "scaled_expint_sum", counting)
+        monkeypatch.setattr(ansec.optimize, "capacity_bob", forbidden)
+        monkeypatch.setattr(ansec.secrecy, "capacity_bob", forbidden)
         critical_snr_exact(SystemConfig(na), PowerSplit(phi), CsiError(s2) if s2 else None)
-        assert powers[0] == ansec.optimize._SNR_PROBE
-        assert len(powers) == calls
+        assert 1 <= len(sums) <= 10
+
+    @pytest.mark.parametrize("s2", [0.0, 0.1, 0.2, 0.4])
+    def test_closed_form_oracle(self, s2):
+        # at (2, 1, 0.5) C2 is 1 nat and C1(w) = 1 + (1 - w) e^w E_1(w), so
+        # w* = 1 and p = 1/((1 - s2) w*/z - s2) with z = 2: 2 (3.0103 dB), 1/0.35,
+        # 5 (6.9897 dB), and no power at s2 = 0.4, where (1 - s2)/2 < s2
+        err = CsiError(s2) if s2 else None
+        got = critical_snr_exact(SystemConfig(2, 1), PowerSplit(0.5), err)
+        denom = (1.0 - s2) / 2.0 - s2
+        if denom <= 0.0:
+            assert math.isinf(got)
+        else:
+            assert abs(got * denom - 1.0) <= 1e-14
+
+    def test_matches_40_digit_root(self):
+        # the root w* of C1(w) = C2 for the same double C2, solved at 40
+        # digits, against the solver at 60 seeded cells; phi reaches 1e-9,
+        # where the lower end is w* to rounding, so both branches run
+        rng = random.Random(25)
+        branches = set()
+        for _ in range(60):
+            na = rng.choice([2, 3, 4, 5, 8, 12, 16, 32, 64])
+            ne = rng.randint(1, na - 1)
+            split = PowerSplit(10.0 ** rng.uniform(-9.0, math.log10(0.999)))
+            s2 = rng.choice([0.0, 0.05, 0.1, 0.2])
+            err = CsiError(s2) if s2 else None
+            cfg = SystemConfig(na, ne)
+            got = critical_snr_exact(cfg, split, err)
+            branches.add(got == critical_snr_upper_bound(cfg, split, err))
+            w = _mp_bob_root(na, capacity_eve(cfg, split) * LN2)
+            with mpmath.workdps(40):
+                s2_mp = mpmath.mpf(s2)
+                denom = (1 - s2_mp) * w / mpmath.mpf(split.z) - s2_mp
+                if denom <= 0:
+                    assert math.isinf(got), (na, ne, split.phi, s2)
+                    continue
+                rel = abs(got * denom - 1)
+            assert rel <= 1e-12, (na, ne, split.phi, s2, got, rel)
+        assert branches == {True, False}
+
+    def test_bracket_signs(self, monkeypatch):
+        # C1(w) > psi(na) - ln w > ln na - 1/na - ln w puts the digamma end
+        # below w*; the paper's bound puts A there up to rounding; Jensen's
+        # C1(w) < ln(1 + na/w) puts na/expm1(C2) above it, and the 2^-20 margin
+        # keeps that sign where rounding hides the gap. Every Brent call gets a
+        # sign change.
+        brackets = []
+        original = ansec.optimize._zeroin
+
+        def recording(f, a, b, fa, fb, tol):
+            brackets.append((fa, fb))
+            return original(f, a, b, fa, fb, tol)
+
+        monkeypatch.setattr(ansec.optimize, "_zeroin", recording)
+        phis = [1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-9, 1e-3, 0.1, 0.5, 0.9, 0.999,
+                1.0 - 1e-9, 1.0 - 2.0**-52]
+        for na in (2, 3, 4, 8, 16, 64, 256, 1024):
+            for ne in sorted({1, na // 2, na - 1}):
+                cfg = SystemConfig(na, ne)
+                for phi in phis:
+                    c2 = capacity_eve(cfg, PowerSplit(phi)) * LN2
+
+                    def excess(w):
+                        return ansec.specfun.scaled_expint_sum(na, w) - c2
+
+                    a_term = na / c2 - (na + 1.0) / 2.0
+                    assert excess(na / math.expm1(c2) * (1.0 + 2.0**-20)) < 0.0, (na, ne, phi)
+                    assert excess(na * math.exp(-1.0 / na - c2)) > 0.0, (na, ne, phi)
+                    if a_term > 0.0:
+                        assert excess(a_term) >= -4.0 * 2.0**-52 * c2, (na, ne, phi)
+                    critical_snr_exact(cfg, PowerSplit(phi))
+        assert brackets
+        assert all(fa > 0.0 > fb for fa, fb in brackets)
+
+    @pytest.mark.parametrize("na,ne", [(2, 1), (4, 1), (4, 3), (16, 1), (16, 15), (64, 8)])
+    def test_exact_stays_below_bound_down_to_tiny_phi(self, na, ne):
+        # the 0.001 dB bisection overshot the bound at low SNR, where the bound
+        # is tight, e.g. at (2, 1, 1e-4): 4.60969 against 4.60923 (6.6363 dB)
+        cfg = SystemConfig(na, ne)
+        for k in range(1, 301):
+            res = critical_snr(cfg, PowerSplit(10.0**-k))
+            assert res.p_c_exact <= res.p_c_bound
+
+    @pytest.mark.parametrize("na,phi", [(4, 1e-308), (1024, 1e-306)])
+    def test_tiny_phi_overflowing_na_over_c2_names_phi(self, na, phi):
+        # na/C2 overflows: the bound used to come back 0.0, and critical_snr
+        # then raised a misleading "exceeds its upper bound"
+        cfg, split = SystemConfig(na, 1), PowerSplit(phi)
+        for solver in (critical_snr_upper_bound, critical_snr_exact, critical_snr):
+            with pytest.raises(ValueError, match=rf"na/C2 overflows at phi = {phi!r}"):
+                solver(cfg, split)
+
+
+def _mp_bob_root(na, c2):
+    # The root w* of C1(w) = e^w sum_{k<=na} E_k(w) = c2 at 40 digits. C1 comes
+    # from mpmath's E_1 by A&S 5.1.14 upward, e_{k+1} = (1 - w e_k)/k, with
+    # guard digits for the up to w^k/k! growth of its rounding error, and
+    # C1'(w) = e_na - 1/w. C1 is convex and falls, so Newton steps from a w
+    # with C1(w) > c2 climb to w* without overshooting.
+    with mpmath.workdps(40):
+        c2 = mpmath.mpf(c2)
+        w = na * mpmath.exp(-mpmath.mpf(1) / na - c2)
+        for _ in range(100):
+            growth = max(k * mpmath.log10(w) - mpmath.log10(mpmath.factorial(k))
+                         for k in range(na))
+            with mpmath.workdps(50 + int(max(growth, 0))):
+                e = [mpmath.exp(w) * mpmath.e1(w)]
+                for k in range(1, na):
+                    e.append((1 - w * e[-1]) / k)
+                step = (mpmath.fsum(e) - c2) / (e[-1] - 1 / w)
+            w -= step
+            if abs(step) < w * mpmath.mpf(10) ** -32:
+                return w
+    raise AssertionError(f"Newton did not converge for na={na}, c2={c2}")
 
 
 class TestImportCost:
